@@ -42,8 +42,8 @@ void BM_ProjectionIsomorphism(benchmark::State& state) {
   // Build two long computations differing at the tail.
   std::vector<Event> a, b;
   for (int i = 0; i < length; ++i) {
-    a.push_back(Internal(i % 3, "e" + std::to_string(i)));
-    b.push_back(Internal(i % 3, "e" + std::to_string(i)));
+    a.push_back(Internal(i % 3, std::string("e").append(std::to_string(i))));
+    b.push_back(Internal(i % 3, std::string("e").append(std::to_string(i))));
   }
   b.back().label = "different";
   const Computation x(std::move(a)), y(std::move(b));
@@ -156,8 +156,8 @@ void BM_FusionTheorem2(benchmark::State& state) {
   Computation y = x;
   Computation z = x.Extended(Receive(1, 0, 0, "m"));
   for (int i = 0; i < state.range(0); ++i) {
-    y = y.Extended(Internal(0, "a" + std::to_string(i)));
-    z = z.Extended(Internal(1, "b" + std::to_string(i)));
+    y = y.Extended(Internal(0, std::string("a").append(std::to_string(i))));
+    z = z.Extended(Internal(1, std::string("b").append(std::to_string(i))));
   }
   for (auto _ : state) {
     auto fused = FuseTheorem2(x, y, z, ProcessSet{0}, 2);

@@ -77,8 +77,8 @@ int main() {
       return total ? std::to_string(n) + "/" + std::to_string(total)
                    : "n/a";
     };
-    position.AddRow({"p" + std::to_string(holder), frac(kq), frac(ks),
-                     frac(kqt)});
+    position.AddRow({std::string("p").append(std::to_string(holder)), frac(kq),
+                     frac(ks), frac(kqt)});
   }
   position.Print();
   return 0;

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     const auto holder = bus.TokenAt(x);
     std::printf("%-28s token at %s  claim %s\n", what,
                 holder.has_value()
-                    ? ("p" + std::to_string(*holder)).c_str()
+                    ? std::string("p").append(std::to_string(*holder)).c_str()
                     : "(in flight)",
                 eval.Holds(claim, space.RequireIndex(x)) ? "HOLDS"
                                                          : "does not hold");

@@ -17,7 +17,8 @@ const char* ToString(EventKind kind) noexcept {
 }
 
 std::string Event::ToString() const {
-  std::string out = "p" + std::to_string(process);
+  std::string out = "p";
+  out += std::to_string(process);
   switch (kind) {
     case EventKind::kInternal:
       out += ".internal";

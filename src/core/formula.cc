@@ -16,6 +16,8 @@ struct FormulaBuilder {
     node->left_ = std::move(left);
     node->right_ = std::move(right);
     node->group_ = group;
+    node->height_ = 1 + std::max(node->left_ ? node->left_->height_ : 0,
+                                 node->right_ ? node->right_->height_ : 0);
     return node;
   }
 };
@@ -102,27 +104,44 @@ FormulaPtr Formula::KnowsChain(const std::vector<ProcessSet>& chain,
 }
 
 std::string Formula::ToString() const {
+  // Built by appending: `"lit" + std::string` inlines an insert(0, ...)
+  // that GCC 12 flags with a false -Wrestrict at -O3.
+  const auto binary = [&](const char* op) {
+    std::string out = "(";
+    out += left_->ToString();
+    out += op;
+    out += right_->ToString();
+    out += ')';
+    return out;
+  };
+  const auto modal = [&](const char* op) {
+    std::string out = op;
+    out += group_.ToString();
+    out += ' ';
+    out += left_->ToString();
+    return out;
+  };
   switch (kind_) {
     case FormulaKind::kAtom:
       return atom_.name();
     case FormulaKind::kNot:
-      return "!" + left_->ToString();
+      return std::string("!").append(left_->ToString());
     case FormulaKind::kAnd:
-      return "(" + left_->ToString() + " && " + right_->ToString() + ")";
+      return binary(" && ");
     case FormulaKind::kOr:
-      return "(" + left_->ToString() + " || " + right_->ToString() + ")";
+      return binary(" || ");
     case FormulaKind::kImplies:
-      return "(" + left_->ToString() + " => " + right_->ToString() + ")";
+      return binary(" => ");
     case FormulaKind::kKnows:
-      return "K" + group_.ToString() + " " + left_->ToString();
+      return modal("K");
     case FormulaKind::kSure:
-      return "Sure" + group_.ToString() + " " + left_->ToString();
+      return modal("Sure");
     case FormulaKind::kCommon:
-      return "CK" + group_.ToString() + " " + left_->ToString();
+      return modal("CK");
     case FormulaKind::kEveryone:
-      return "E" + group_.ToString() + " " + left_->ToString();
+      return modal("E");
     case FormulaKind::kPossible:
-      return "M" + group_.ToString() + " " + left_->ToString();
+      return modal("M");
   }
   return "?";
 }
@@ -183,58 +202,90 @@ class Parser {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
+  static ModelError TooTall() {
+    std::string what = "Formula parse: formula exceeds the maximum height of ";
+    what += std::to_string(Formula::kMaxParseHeight);
+    what += " (nested operators, parentheses or chained binary operators)";
+    return ModelError(what);
+  }
+
+  // Every node the parser builds passes through here, so a left-associative
+  // `&&`/`||` chain — built by a loop, not by recursion — is cut off as soon
+  // as it grows too tall.
+  static FormulaPtr Bounded(FormulaPtr f) {
+    if (f->height() > Formula::kMaxParseHeight) throw TooTall();
+    return f;
+  }
+
+  // Bounds the parser's own recursion, one level per operator prefix,
+  // parenthesis or `=>`: parentheses nest without adding tree height, so
+  // Bounded alone would not stop "((((...a))))".
+  class Nest {
+   public:
+    explicit Nest(Parser* parser) : parser_(parser) {
+      if (++parser_->depth_ > Formula::kMaxParseHeight) throw TooTall();
+    }
+    ~Nest() { --parser_->depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser* parser_;
+  };
+
   // implies is right-associative and lowest precedence.
   FormulaPtr ParseImplies() {
     FormulaPtr lhs = ParseOr();
-    if (Eat("=>")) return Formula::Implies(lhs, ParseImplies());
-    return lhs;
+    if (!Eat("=>")) return lhs;
+    const Nest nest(this);
+    return Bounded(Formula::Implies(lhs, ParseImplies()));
   }
 
   FormulaPtr ParseOr() {
     FormulaPtr lhs = ParseAnd();
-    while (Eat("||")) lhs = Formula::Or(lhs, ParseAnd());
+    while (Eat("||")) lhs = Bounded(Formula::Or(lhs, ParseAnd()));
     return lhs;
   }
 
   FormulaPtr ParseAnd() {
     FormulaPtr lhs = ParseUnary();
-    while (Eat("&&")) lhs = Formula::And(lhs, ParseUnary());
+    while (Eat("&&")) lhs = Bounded(Formula::And(lhs, ParseUnary()));
     return lhs;
   }
 
   FormulaPtr ParseUnary() {
     SkipSpace();
-    if (Eat("!")) return Formula::Not(ParseUnary());
-    // The group must be parsed before the operand (argument evaluation
-    // order is unspecified, so sequence explicitly).
-    if (Eat("CK")) {
-      const ProcessSet group = ParseGroup();
-      return Formula::Common(group, ParseUnary());
-    }
-    if (Eat("E{")) {
-      --pos_;  // give the '{' back to ParseGroup
-      const ProcessSet group = ParseGroup();
-      return Formula::Everyone(group, ParseUnary());
-    }
-    if (Eat("M{")) {
-      --pos_;
-      const ProcessSet group = ParseGroup();
-      return Formula::Possible(group, ParseUnary());
-    }
-    if (Eat("Sure")) {
-      const ProcessSet group = ParseGroup();
-      return Formula::Sure(group, ParseUnary());
-    }
-    if (Eat("K")) {
-      const ProcessSet group = ParseGroup();
-      return Formula::Knows(group, ParseUnary());
-    }
     if (Eat("(")) {
+      const Nest nest(this);
       FormulaPtr f = ParseImplies();
       if (!Eat(")")) throw ModelError("Formula parse: expected ')'");
       return f;
     }
-    return ParseAtom();
+    if (Eat("!")) {
+      const Nest nest(this);
+      return Bounded(Formula::Not(ParseUnary()));
+    }
+    FormulaPtr (*modal)(ProcessSet, FormulaPtr) = nullptr;
+    if (Eat("CK")) {
+      modal = &Formula::Common;
+    } else if (Eat("E{")) {
+      --pos_;  // give the '{' back to ParseGroup
+      modal = &Formula::Everyone;
+    } else if (Eat("M{")) {
+      --pos_;
+      modal = &Formula::Possible;
+    } else if (Eat("Sure")) {
+      modal = &Formula::Sure;
+    } else if (Eat("K")) {
+      modal = &Formula::Knows;
+    } else {
+      return ParseAtom();
+    }
+    // The group must be parsed before the operand (argument evaluation
+    // order is unspecified, so sequence explicitly).
+    const ProcessSet group = ParseGroup();
+    const Nest nest(this);
+    return Bounded(modal(group, ParseUnary()));
   }
 
   ProcessSet ParseGroup() {
@@ -276,6 +327,7 @@ class Parser {
   const std::string& text_;
   const std::vector<Predicate>& atoms_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // current Nest level
 };
 
 }  // namespace

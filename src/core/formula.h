@@ -55,6 +55,16 @@ class Formula {
   // Depth of K/Sure/CK nesting (0 for purely propositional formulas).
   int ModalDepth() const;
 
+  // Height of the syntax tree: 1 for an atom, 1 + the taller operand's
+  // height otherwise.  O(1): fixed when the node is built.
+  int height() const noexcept { return height_; }
+
+  // Parse rejects formulas taller than this, and texts that nest operator
+  // prefixes, parentheses or `=>` levels deeper than this.  Parsing,
+  // interning, evaluation, kernel compilation and Refresh all recurse once
+  // per level, so the bound keeps hostile input off the stack.
+  static constexpr int kMaxParseHeight = 1000;
+
   // --- Constructors -------------------------------------------------------
   static FormulaPtr Atom(Predicate b);
   static FormulaPtr Not(FormulaPtr f);
@@ -86,7 +96,8 @@ class Formula {
                                FormulaPtr f);
 
   // Parses the text syntax; atoms are resolved by name through `atoms`.
-  // Throws ModelError on syntax errors or unknown atom names.
+  // Throws ModelError on syntax errors, unknown atom names, and formulas
+  // beyond kMaxParseHeight.
   static FormulaPtr Parse(const std::string& text,
                           const std::vector<Predicate>& atoms);
 
@@ -95,6 +106,7 @@ class Formula {
   Formula() = default;
 
   FormulaKind kind_ = FormulaKind::kAtom;
+  int height_ = 1;
   Predicate atom_;
   FormulaPtr left_;
   FormulaPtr right_;

@@ -31,7 +31,8 @@ RandomSystem::RandomSystem(const RandomSystemOptions& options)
         static_cast<ProcessId>(rng.Below(options.num_processes));
     auto to = static_cast<ProcessId>(rng.Below(options.num_processes - 1));
     if (to >= from) ++to;
-    scripts_[from].push_back(Send(from, to, m, "m" + std::to_string(m)));
+    scripts_[from].push_back(
+        Send(from, to, m, std::string("m").append(std::to_string(m))));
   }
   for (ProcessId p = 0; p < options.num_processes; ++p) {
     for (int i = 0; i < options.internal_events; ++i) {
@@ -39,7 +40,10 @@ RandomSystem::RandomSystem(const RandomSystemOptions& options)
       const auto pos = rng.Below(scripts_[p].size() + 1);
       scripts_[p].insert(
           scripts_[p].begin() + static_cast<std::ptrdiff_t>(pos),
-          Internal(p, "i" + std::to_string(p) + "_" + std::to_string(i)));
+          Internal(p, std::string("i")
+                          .append(std::to_string(p))
+                          .append("_")
+                          .append(std::to_string(i))));
     }
   }
 }

@@ -4,7 +4,7 @@
 // The differential contract mirrors the fault tentpole's acceptance
 // criterion: enumeration with failure patterns — and every knowledge verdict
 // over it, including the per-pattern [G]-queries of CommonAmongCorrect —
-// must be byte-identical across thread counts and memo tiers.
+// must be byte-identical across thread counts and evaluation engines.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -239,8 +239,8 @@ TEST(FaultsTest, FaultyEnumerationIsByteIdenticalAcrossThreadsAndMemoTiers) {
   }
 
   // Verdict bytes: the per-pattern [G]-queries of the correct-process
-  // machinery answer identically at every (threads, bucket_memo,
-  // group_memo) combination.
+  // machinery answer identically on compiled kernels at 1 and 4 threads and
+  // on the sequential interpreter (the reference).
   const FailurePatternIndex index(reference);
   const FormulaPtr value0 =
       Formula::Atom(Predicate::DidInternal(0, "propose0"));
@@ -248,34 +248,16 @@ TEST(FaultsTest, FaultyEnumerationIsByteIdenticalAcrossThreadsAndMemoTiers) {
       Formula::Knows(1, value0),
       Formula::Everyone(ProcessSet::Of(1).Union(ProcessSet::Of(2)), value0));
 
-  std::vector<std::uint8_t> ck_ref, ek_ref;
-  std::vector<std::size_t> sat_ref;
-  bool first = true;
+  KnowledgeEvaluator interpreted(reference,
+                                 {.num_threads = 1, .compiled_kernels = false});
+  const auto ck_ref = CommonAmongCorrect(interpreted, index, value0);
+  const auto ek_ref = EveryoneCorrectKnows(interpreted, index, value0);
+  const auto sat_ref = interpreted.SatisfyingSet(mixed);
   for (const int threads : {1, 4}) {
-    for (const bool bucket_memo : {false, true}) {
-      for (const bool group_memo : {false, true}) {
-        KnowledgeEvaluator eval(reference,
-                                {.num_threads = threads,
-                                 .bucket_memo = bucket_memo,
-                                 .group_memo = group_memo});
-        const auto ck = CommonAmongCorrect(eval, index, value0);
-        const auto ek = EveryoneCorrectKnows(eval, index, value0);
-        const auto sat = eval.SatisfyingSet(mixed);
-        if (first) {
-          ck_ref = ck;
-          ek_ref = ek;
-          sat_ref = sat;
-          first = false;
-          continue;
-        }
-        const std::string config = "threads=" + std::to_string(threads) +
-                                   " bucket=" + std::to_string(bucket_memo) +
-                                   " group=" + std::to_string(group_memo);
-        EXPECT_EQ(ck, ck_ref) << config;
-        EXPECT_EQ(ek, ek_ref) << config;
-        EXPECT_EQ(sat, sat_ref) << config;
-      }
-    }
+    KnowledgeEvaluator eval(reference, {.num_threads = threads});
+    EXPECT_EQ(CommonAmongCorrect(eval, index, value0), ck_ref) << threads;
+    EXPECT_EQ(EveryoneCorrectKnows(eval, index, value0), ek_ref) << threads;
+    EXPECT_EQ(eval.SatisfyingSet(mixed), sat_ref) << threads;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace hpl {
 namespace {
 
@@ -79,6 +81,62 @@ TEST(FormulaTest, ParseErrors) {
   EXPECT_THROW(Formula::Parse("K{} b", atoms), ModelError);   // empty group
   EXPECT_THROW(Formula::Parse("(b", atoms), ModelError);
   EXPECT_THROW(Formula::Parse("b c", atoms), ModelError);     // trailing
+}
+
+std::string Repeat(const std::string& piece, int times) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<std::size_t>(times));
+  for (int i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+// Expects Parse to reject `text` with a ModelError that names the limit.
+void ExpectTooTall(const std::string& text, const char* shape) {
+  try {
+    Formula::Parse(text, Atoms());
+    ADD_FAILURE() << shape << ": parsed";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(Formula::kMaxParseHeight)),
+              std::string::npos)
+        << shape << ": " << e.what();
+  }
+}
+
+TEST(FormulaTest, HeightIsFixedAtConstruction) {
+  const auto atoms = Atoms();
+  EXPECT_EQ(Formula::Parse("b", atoms)->height(), 1);
+  EXPECT_EQ(Formula::Parse("K{0} (b && !c)", atoms)->height(), 4);
+  EXPECT_EQ(Formula::Parse("((b))", atoms)->height(), 1);
+}
+
+TEST(FormulaTest, ParseRejectsFormulasBeyondTheHeightLimit) {
+  // Every shape that recurses later — in Intern, Eval, Compile, Refresh —
+  // or in the parser itself, 100,000 levels deep.
+  constexpr int kHostile = 100000;
+  ExpectTooTall(Repeat("!", kHostile) + "b", "! prefix");
+  ExpectTooTall(Repeat("K{0} ", kHostile) + "b", "modal prefix");
+  ExpectTooTall(Repeat("(", kHostile) + "b" + Repeat(")", kHostile),
+                "parentheses");
+  ExpectTooTall("b" + Repeat(" => b", kHostile), "=> chain");
+  ExpectTooTall("b" + Repeat(" && b", kHostile), "&& chain");
+  ExpectTooTall("b" + Repeat(" || c", kHostile), "|| chain");
+
+  // The boundary: height exactly kMaxParseHeight parses, one more does not.
+  const auto atoms = Atoms();
+  const int limit = Formula::kMaxParseHeight;
+  EXPECT_EQ(Formula::Parse(Repeat("!", limit - 1) + "b", atoms)->height(),
+            limit);
+  ExpectTooTall(Repeat("!", limit) + "b", "! at the limit");
+  EXPECT_EQ(Formula::Parse("b" + Repeat(" && b", limit - 1), atoms)->height(),
+            limit);
+  ExpectTooTall("b" + Repeat(" && b", limit), "&& at the limit");
+  EXPECT_EQ(
+      Formula::Parse(Repeat("(", limit) + "b" + Repeat(")", limit), atoms)
+          ->height(),
+      1);
+  ExpectTooTall(Repeat("(", limit + 1) + "b" + Repeat(")", limit + 1),
+                "parentheses at the limit");
 }
 
 TEST(FormulaTest, NullOperandsRejected) {

@@ -1,10 +1,11 @@
-// Determinism contract of the projection-class memo tier
-// (KnowledgeOptions::bucket_memo): for singleton-group Knows / Sure /
-// Possible and for Everyone, the verdict is constant per [p]-bucket, so
-// memoizing per (node, [p]-class) and sweeping each bucket once must
-// reproduce the memo-off engine byte for byte — satisfying sets, batch
-// Holds, pointwise Holds, and CK component labels — at 1 and 4 worker
-// threads, on a canonicalized space and a lockstep (non-canonicalized) one.
+// Determinism contract of the projection-class memo tier: for
+// singleton-group Knows / Sure / Possible and for Everyone, the verdict is
+// constant per [p]-bucket, so memoizing per (node, [p]-class) and sweeping
+// each bucket once must give the same answers on both engines — compiled
+// kernels at 1 and 4 worker threads reproduce the sequential interpreter
+// (compiled_kernels off, 1 thread) byte for byte: satisfying sets, batch
+// Holds, pointwise Holds, and CK component labels, on a canonicalized space
+// and a lockstep (non-canonicalized) one.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -32,7 +33,7 @@ std::vector<FormulaPtr> TierFormulas(const ComputationSpace& space,
       Formula::Everyone(all, Formula::Knows(ProcessSet{0}, a)),
       Formula::Not(Formula::Sure(ProcessSet{0}, a)),
       // ... and mixed with nodes this tier does not cover (multi-process
-      // groups — the [G]-tier's domain, see knowledge_group_memo_test —
+      // groups — the [G]-tier's domain, tested alongside this file —
       // and CK), which must keep their own paths intact.
       Formula::Knows(all, a),
       Formula::Common(all, a),
@@ -41,30 +42,54 @@ std::vector<FormulaPtr> TierFormulas(const ComputationSpace& space,
   };
 }
 
+// Brute-force reference, independent of both engines and of the tier:
+// K{p} a by scanning the [p]-relation of every class.
+std::vector<std::size_t> BruteForceKnows(const ComputationSpace& space,
+                                         ProcessId p, const Predicate& atom) {
+  std::vector<char> holds(space.size());
+  for (std::size_t id = 0; id < space.size(); ++id)
+    holds[id] = atom.Eval(space.At(id));
+  std::vector<std::size_t> out;
+  for (std::size_t id = 0; id < space.size(); ++id) {
+    bool all = true;
+    space.ForEachIsomorphicWhile(id, ProcessSet::Of(p), [&](std::size_t y) {
+      all = holds[y] != 0;
+      return all;
+    });
+    if (all) out.push_back(id);
+  }
+  return out;
+}
+
 void ExpectTierInvariant(const ComputationSpace& space, const Predicate& atom) {
+  KnowledgeEvaluator reference(space,
+                               {.num_threads = 1, .compiled_kernels = false});
+  const ProcessSet all = space.AllProcesses();
   for (int threads : {1, 4}) {
-    KnowledgeEvaluator memo_off(
-        space, {.num_threads = threads, .bucket_memo = false});
-    KnowledgeEvaluator memo_on(
-        space, {.num_threads = threads, .bucket_memo = true});
+    KnowledgeEvaluator kernels(space, {.num_threads = threads});
     for (const FormulaPtr& f : TierFormulas(space, atom)) {
-      ASSERT_EQ(memo_off.SatisfyingSet(f), memo_on.SatisfyingSet(f))
+      ASSERT_EQ(reference.SatisfyingSet(f), kernels.SatisfyingSet(f))
           << f->ToString() << " at " << threads << " threads";
-      ASSERT_EQ(memo_off.HoldsAll(f), memo_on.HoldsAll(f)) << f->ToString();
+      ASSERT_EQ(reference.HoldsAll(f), kernels.HoldsAll(f)) << f->ToString();
       for (std::size_t id = 0; id < space.size(); id += 17)
-        ASSERT_EQ(memo_off.Holds(f, id), memo_on.Holds(f, id))
+        ASSERT_EQ(reference.Holds(f, id), kernels.Holds(f, id))
             << f->ToString() << " at " << id;
     }
-    const ProcessSet all = space.AllProcesses();
     for (std::size_t id = 0; id < space.size(); ++id)
-      ASSERT_EQ(memo_off.CommonComponent(all, id),
-                memo_on.CommonComponent(all, id))
+      ASSERT_EQ(reference.CommonComponent(all, id),
+                kernels.CommonComponent(all, id))
           << "component of " << id;
-    // The tier actually engaged: bucket entries exist only when it is on.
-    EXPECT_GT(memo_on.MemoryUsage().bucket_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().bucket_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().bytes_bucket, 0u);
+    // The tier's direct target against the whole-relation scan.
+    for (ProcessId p = 0; p < space.num_processes(); ++p)
+      ASSERT_EQ(
+          kernels.SatisfyingSet(Formula::Knows(ProcessSet::Of(p),
+                                               Formula::Atom(atom))),
+          BruteForceKnows(space, p, atom))
+          << "K{" << p << "} at " << threads << " threads";
+    // The tier engaged on both engines.
+    EXPECT_GT(kernels.MemoryUsage().bucket_entries, 0u);
   }
+  EXPECT_GT(reference.MemoryUsage().bucket_entries, 0u);
 }
 
 TEST(KnowledgeBucketMemoTest, CanonicalizedSpaceIsTierInvariant) {

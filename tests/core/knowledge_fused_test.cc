@@ -1,7 +1,7 @@
 // Fused multi-formula sweeps: KnowledgeEvaluator::SatisfyingSets must
 // return, for any batch, exactly what per-formula SatisfyingSet calls
-// return — at any thread count, under any memo-tier knobs, with shared
-// subformulas, duplicate formulas, and warm or cold memo planes.
+// return — at any thread count, on either engine, with shared subformulas,
+// duplicate formulas, and warm or cold memo planes.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,20 +43,20 @@ TEST(KnowledgeFusedTest, MatchesPerFormulaSweeps) {
   ASSERT_GE(space.size(), 128u)
       << "space too small to exercise the parallel path";
   const auto batch = SampleBatch();
+  // Reference: the sequential interpreter, a fresh evaluator per formula,
+  // so nothing is shared.
+  std::vector<std::vector<std::size_t>> expected;
+  for (const FormulaPtr& f : batch) {
+    KnowledgeEvaluator reference(space,
+                                 {.num_threads = 1, .compiled_kernels = false});
+    expected.push_back(reference.SatisfyingSet(f));
+  }
   for (const int threads : {1, 4}) {
-    for (const bool bucket_memo : {false, true}) {
-      KnowledgeOptions options;
-      options.num_threads = threads;
-      options.bucket_memo = bucket_memo;
-      // Reference: a fresh evaluator per formula, so nothing is shared.
-      std::vector<std::vector<std::size_t>> expected;
-      for (const FormulaPtr& f : batch) {
-        KnowledgeEvaluator reference(space, options);
-        expected.push_back(reference.SatisfyingSet(f));
-      }
-      KnowledgeEvaluator fused(space, options);
+    for (const bool kernels : {false, true}) {
+      KnowledgeEvaluator fused(
+          space, {.num_threads = threads, .compiled_kernels = kernels});
       EXPECT_EQ(fused.SatisfyingSets(batch), expected)
-          << "threads=" << threads << " bucket=" << bucket_memo;
+          << "threads=" << threads << " kernels=" << kernels;
     }
   }
 }

@@ -1,14 +1,17 @@
-// Determinism contract of the [G]-class memo tier
-// (KnowledgeOptions::group_memo): for multi-process Knows / Sure / Possible
-// the quantifier ranges exactly over the [G]-bucket, and Everyone's
-// conjunction is constant on the [G]-class, so memoizing per
+// Determinism contract of the [G]-class memo tier: for multi-process Knows
+// / Sure / Possible the quantifier ranges exactly over the [G]-bucket, and
+// Everyone's conjunction is constant on the [G]-class, so memoizing per
 // (node, [G]-class) — and building CK components over contracted
-// [G]-classes — must reproduce the tier-off engine byte for byte:
-// satisfying sets, batch Holds, pointwise Holds, and CK component labels,
-// at 1 and 4 worker threads, on a canonicalized space and a lockstep
-// (non-canonicalized) one, including nested Everyone(G, Knows(p, f)).
+// [G]-classes — must give the same answers on both engines: compiled
+// kernels at 1 and 4 worker threads reproduce the sequential interpreter
+// (compiled_kernels off, 1 thread) byte for byte — satisfying sets, batch
+// Holds, pointwise Holds, and CK component labels — on a canonicalized
+// space and a lockstep (non-canonicalized) one, including nested
+// Everyone(G, Knows(p, f)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/knowledge.h"
@@ -45,34 +48,84 @@ std::vector<FormulaPtr> GroupTierFormulas(const ComputationSpace& space,
   };
 }
 
+// Brute-force references, independent of both engines and of the tier:
+// K{G} a by scanning the whole [G]-relation of every class, and CK{G}
+// component labels (smallest member id) by min-label propagation over
+// every member's [p]-buckets until nothing changes.
+std::vector<std::size_t> BruteForceKnows(const ComputationSpace& space,
+                                         ProcessSet g, const Predicate& atom) {
+  std::vector<char> holds(space.size());
+  for (std::size_t id = 0; id < space.size(); ++id)
+    holds[id] = atom.Eval(space.At(id));
+  std::vector<std::size_t> out;
+  for (std::size_t id = 0; id < space.size(); ++id) {
+    bool all = true;
+    space.ForEachIsomorphicWhile(id, g, [&](std::size_t y) {
+      all = holds[y] != 0;
+      return all;
+    });
+    if (all) out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> BruteForceComponents(const ComputationSpace& space,
+                                                ProcessSet g) {
+  std::vector<std::uint32_t> label(space.size());
+  for (std::size_t id = 0; id < space.size(); ++id)
+    label[id] = static_cast<std::uint32_t>(id);
+  for (bool changed = true; changed;) {
+    changed = false;
+    g.ForEach([&](ProcessId p) {
+      for (std::uint32_t c = 0; c < space.NumProjectionClasses(p); ++c) {
+        std::uint32_t least = UINT32_MAX;
+        for (std::uint32_t y : space.Bucket(p, c))
+          least = std::min(least, label[y]);
+        for (std::uint32_t y : space.Bucket(p, c)) {
+          if (label[y] == least) continue;
+          label[y] = least;
+          changed = true;
+        }
+      }
+    });
+  }
+  return label;
+}
+
 void ExpectGroupTierInvariant(const ComputationSpace& space,
                               const Predicate& atom) {
+  KnowledgeEvaluator reference(space,
+                               {.num_threads = 1, .compiled_kernels = false});
   for (int threads : {1, 4}) {
-    KnowledgeEvaluator memo_off(
-        space, {.num_threads = threads, .group_memo = false});
-    KnowledgeEvaluator memo_on(
-        space, {.num_threads = threads, .group_memo = true});
+    KnowledgeEvaluator kernels(space, {.num_threads = threads});
     for (const FormulaPtr& f : GroupTierFormulas(space, atom)) {
-      ASSERT_EQ(memo_off.SatisfyingSet(f), memo_on.SatisfyingSet(f))
+      ASSERT_EQ(reference.SatisfyingSet(f), kernels.SatisfyingSet(f))
           << f->ToString() << " at " << threads << " threads";
-      ASSERT_EQ(memo_off.HoldsAll(f), memo_on.HoldsAll(f)) << f->ToString();
+      ASSERT_EQ(reference.HoldsAll(f), kernels.HoldsAll(f)) << f->ToString();
       for (std::size_t id = 0; id < space.size(); id += 17)
-        ASSERT_EQ(memo_off.Holds(f, id), memo_on.Holds(f, id))
+        ASSERT_EQ(reference.Holds(f, id), kernels.Holds(f, id))
             << f->ToString() << " at " << id;
     }
-    // CK components: the [G]-contracted union-find must produce the exact
-    // smallest-member labels of the per-id build, for the full group and a
-    // pair.
-    for (ProcessSet g : {space.AllProcesses(), ProcessSet{0, 1}})
-      for (std::size_t id = 0; id < space.size(); ++id)
-        ASSERT_EQ(memo_off.CommonComponent(g, id),
-                  memo_on.CommonComponent(g, id))
+    // CK components over the full group and a pair: the [G]-contracted
+    // union-find must produce the exact smallest-member labels of the
+    // per-id brute force, at any thread count.
+    for (ProcessSet g : {space.AllProcesses(), ProcessSet{0, 1}}) {
+      const auto expected = BruteForceComponents(space, g);
+      for (std::size_t id = 0; id < space.size(); ++id) {
+        ASSERT_EQ(reference.CommonComponent(g, id), expected[id])
+            << "component of " << id;
+        ASSERT_EQ(kernels.CommonComponent(g, id), expected[id])
             << "component of " << id << " at " << threads << " threads";
-    // The tier actually engaged: [G]-rows fill only when it is on.
-    EXPECT_GT(memo_on.MemoryUsage().group_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().group_entries, 0u);
-    EXPECT_EQ(memo_off.MemoryUsage().bytes_group, 0u);
+      }
+      // The tier's direct target against the whole-relation scan.
+      ASSERT_EQ(kernels.SatisfyingSet(Formula::Knows(g, Formula::Atom(atom))),
+                BruteForceKnows(space, g, atom))
+          << g.ToString() << " at " << threads << " threads";
+    }
+    // The tier engaged on both engines.
+    EXPECT_GT(kernels.MemoryUsage().group_entries, 0u);
   }
+  EXPECT_GT(reference.MemoryUsage().group_entries, 0u);
 }
 
 TEST(KnowledgeGroupMemoTest, CanonicalizedSpaceIsTierInvariant) {
@@ -98,8 +151,9 @@ TEST(KnowledgeGroupMemoTest, LockstepSpaceIsTierInvariant) {
 }
 
 TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
-  // The per-worker-plane engine must carry compact [G]-rows exactly like
-  // [p]-rows: 4-thread results equal the 1-thread engine's, tier on.
+  // 4-thread kernel passes fill [G]-rows exactly like [p]-rows: their
+  // results equal the 1-thread dispatch's (interpreter for these lone
+  // modal roots).
   RandomSystemOptions options;
   options.num_processes = 4;
   options.num_messages = 4;

@@ -1,13 +1,13 @@
 // Differential contract of the compiled kernel engine: with
 // KnowledgeOptions::compiled_kernels on, every whole-space query must
-// reproduce the interpreted engine's verdicts byte for byte — across memo
-// tiers (off / bucket-only / full), thread counts, and the sequential
-// engine — on canonicalized, lockstep (literal interleaving), and
+// reproduce the sequential interpreter's verdicts byte for byte — at 1 and
+// 4 threads — on canonicalized, lockstep (literal interleaving), and
 // crash-fault spaces; for single sweeps and fused SatisfyingSets batches;
 // and across Refresh() after Deepen/Ingest, which must invalidate the
 // kernel program cache.  The profitability dispatch (a lone modal root with
-// both memo tiers on and no pool stays on the lazy interpreter) is pinned
-// by LoneModalRootStaysOnInterpreter.
+// no worker pool stays on the lazy interpreter) is pinned by
+// LoneModalRootStaysOnInterpreter; the differentials therefore also ask for
+// each formula in a two-root batch, which always compiles.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,30 +24,13 @@
 namespace hpl {
 namespace {
 
-struct TierConfig {
-  bool bucket_memo;
-  bool group_memo;
-};
-
-constexpr TierConfig kTiers[] = {
-    {false, false},  // memo off: scratch-row sweeps everywhere
-    {true, false},   // bucket tier only
-    {true, true},    // full
-};
-
-KnowledgeOptions Config(int threads, TierConfig tier, bool kernels) {
-  KnowledgeOptions options;
-  options.num_threads = threads;
-  options.bucket_memo = tier.bucket_memo;
-  options.group_memo = tier.group_memo;
-  options.compiled_kernels = kernels;
-  return options;
+KnowledgeOptions Config(int threads, bool kernels) {
+  return {.num_threads = threads, .compiled_kernels = kernels};
 }
 
 // The battery covers every op the compiler emits: deep pure-boolean DAGs
 // (the fused pointwise mode), singleton and group modalities (kKnowSeg with
-// each quantifier), multi-process Everyone (kEveryoneSeg with and without
-// tier rows), common knowledge (kCkComponent), compile-time local-formula
+// each quantifier), multi-process Everyone (kEveryoneSeg), common knowledge (kCkComponent), compile-time local-formula
 // folds (modal child constant on the operator's view), runtime constant
 // folds (tautological children), and the empty-group compile refusal that
 // falls back to the interpreter.
@@ -87,33 +70,54 @@ std::vector<FormulaPtr> KernelFormulas(const FormulaPtr& a,
   };
 }
 
+bool IsEmptyGroupModal(const FormulaPtr& f) {
+  switch (f->kind()) {
+    case FormulaKind::kKnows:
+    case FormulaKind::kSure:
+    case FormulaKind::kPossible:
+      return f->group().IsEmpty();
+    default:
+      return false;
+  }
+}
+
 void ExpectKernelsMatchInterpreter(const ComputationSpace& space,
                                    const FormulaPtr& a, const FormulaPtr& b) {
   const auto battery = KernelFormulas(a, b, space.AllProcesses());
-  // Reference: the sequential interpreted engine, full memo tiers.
-  KnowledgeEvaluator reference(space, Config(1, kTiers[2], false));
-  for (const TierConfig tier : kTiers) {
-    for (const int threads : {1, 4}) {
-      KnowledgeEvaluator interpreted(space, Config(threads, tier, false));
-      KnowledgeEvaluator kernels(space, Config(threads, tier, true));
-      for (const FormulaPtr& f : battery) {
-        const auto expected = reference.SatisfyingSet(f);
-        ASSERT_EQ(interpreted.SatisfyingSet(f), expected)
-            << "interpreted diverged: " << f->ToString() << " threads="
-            << threads << " bucket=" << tier.bucket_memo
-            << " group=" << tier.group_memo;
-        ASSERT_EQ(kernels.SatisfyingSet(f), expected)
-            << "kernels diverged: " << f->ToString() << " threads=" << threads
-            << " bucket=" << tier.bucket_memo << " group=" << tier.group_memo;
-        ASSERT_EQ(kernels.HoldsAll(f), interpreted.HoldsAll(f))
-            << f->ToString();
-      }
-      // Locality/constancy decisions ride the same planes.
-      ASSERT_EQ(kernels.IsConstant(battery[1]),
-                reference.IsConstant(battery[1]));
-      ASSERT_EQ(kernels.IsLocalTo(a, ProcessSet::Of(0)),
-                reference.IsLocalTo(a, ProcessSet::Of(0)));
+  // Reference: the sequential interpreted engine.
+  KnowledgeEvaluator reference(space, Config(1, false));
+  for (const int threads : {1, 4}) {
+    // Kernels off runs the same sequential interpreter at any thread count.
+    KnowledgeEvaluator interpreted(space, Config(threads, false));
+    // Lone roots: the profitability dispatch decides the engine.
+    KnowledgeEvaluator lone(space, Config(threads, true));
+    // Two-root batches {f, !f}: never a lone modal root, so every op the
+    // compiler emits runs here, whatever the space size or thread count.
+    KnowledgeEvaluator batched(space, Config(threads, true));
+    for (const FormulaPtr& f : battery) {
+      const auto expected = reference.SatisfyingSet(f);
+      ASSERT_EQ(interpreted.SatisfyingSet(f), expected)
+          << "interpreted diverged: " << f->ToString()
+          << " threads=" << threads;
+      ASSERT_EQ(lone.SatisfyingSet(f), expected)
+          << "kernels diverged: " << f->ToString() << " threads=" << threads;
+      ASSERT_EQ(lone.HoldsAll(f), interpreted.HoldsAll(f)) << f->ToString();
+      // The empty-group modals make Compile refuse; they stay lone queries.
+      if (IsEmptyGroupModal(f)) continue;
+      const std::vector<FormulaPtr> pair = {f, Formula::Not(f)};
+      const std::size_t programs_before =
+          batched.MemoryUsage().kernel_programs;
+      ASSERT_EQ(batched.SatisfyingSets(pair), reference.SatisfyingSets(pair))
+          << "batched kernels diverged: " << f->ToString()
+          << " threads=" << threads;
+      // !f is a fresh root, so the batch compiled a program of its own.
+      ASSERT_EQ(batched.MemoryUsage().kernel_programs, programs_before + 1)
+          << "batch did not compile: " << f->ToString();
     }
+    // Locality/constancy decisions ride the same planes.
+    ASSERT_EQ(lone.IsConstant(battery[1]), reference.IsConstant(battery[1]));
+    ASSERT_EQ(lone.IsLocalTo(a, ProcessSet::Of(0)),
+              reference.IsLocalTo(a, ProcessSet::Of(0)));
   }
 }
 
@@ -158,23 +162,23 @@ TEST(KnowledgeKernelTest, FusedBatchesAreByteIdentical) {
   options.seed = 31;
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {});
-  const auto batch =
-      KernelFormulas(Formula::Atom(Predicate::Sent(0)),
-                     Formula::Atom(Predicate::Received(0)),
-                     space.AllProcesses());
+  // The empty-group modals would make Compile refuse the whole fused
+  // program; the lone-query differentials cover them.
+  std::vector<FormulaPtr> batch;
+  for (const FormulaPtr& f : KernelFormulas(
+           Formula::Atom(Predicate::Sent(0)),
+           Formula::Atom(Predicate::Received(0)), space.AllProcesses()))
+    if (!IsEmptyGroupModal(f)) batch.push_back(f);
   const std::span<const FormulaPtr> span(batch.data(), batch.size());
-  for (const TierConfig tier : kTiers) {
-    for (const int threads : {1, 4}) {
-      KnowledgeEvaluator interpreted(space, Config(threads, tier, false));
-      KnowledgeEvaluator kernels(space, Config(threads, tier, true));
-      const auto expected = interpreted.SatisfyingSets(span);
-      const auto got = kernels.SatisfyingSets(span);
-      ASSERT_EQ(got, expected)
-          << "threads=" << threads << " bucket=" << tier.bucket_memo
-          << " group=" << tier.group_memo;
-      // A repeat batch hits completed planes and the program cache.
-      ASSERT_EQ(kernels.SatisfyingSets(span), expected);
-    }
+  KnowledgeEvaluator reference(space, Config(1, false));
+  const auto expected = reference.SatisfyingSets(span);
+  for (const int threads : {1, 4}) {
+    KnowledgeEvaluator kernels(space, Config(threads, true));
+    ASSERT_EQ(kernels.SatisfyingSets(span), expected)
+        << "threads=" << threads;
+    ASSERT_EQ(kernels.MemoryUsage().kernel_programs, 1u);
+    // A repeat batch hits completed planes and the program cache.
+    ASSERT_EQ(kernels.SatisfyingSets(span), expected);
   }
 }
 
@@ -183,17 +187,20 @@ TEST(KnowledgeKernelTest, PointwiseHoldsInterleavesWithKernelSweeps) {
   options.seed = 5;
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  ASSERT_GE(space.size(), 128u);  // parallel threshold
   const FormulaPtr f = Formula::Knows(
       ProcessSet::Of(0),
       Formula::Or(Formula::Atom(Predicate::Sent(0)),
                   Formula::Atom(Predicate::Received(1))));
-  KnowledgeEvaluator interpreted(space, Config(1, kTiers[2], false));
-  KnowledgeEvaluator kernels(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator interpreted(space, Config(1, false));
+  // A worker pool, so the lone modal root compiles.
+  KnowledgeEvaluator kernels(space, Config(4, true));
   // Pointwise probes seed partial memo bits; the kernel sweep must respect
   // and complete them, and pointwise probes after it must hit the planes.
   for (const std::size_t id : {std::size_t{0}, space.size() / 2})
     ASSERT_EQ(kernels.Holds(f, id), interpreted.Holds(f, id));
   ASSERT_EQ(kernels.SatisfyingSet(f), interpreted.SatisfyingSet(f));
+  EXPECT_GT(kernels.MemoryUsage().kernel_programs, 0u);
   for (std::size_t id = 0; id < space.size(); ++id)
     ASSERT_EQ(kernels.Holds(f, id), interpreted.Holds(f, id)) << id;
 }
@@ -203,9 +210,10 @@ TEST(KnowledgeKernelTest, StructurallyEqualFormulasShareOneProgram) {
   options.seed = 11;
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
-  // Memo-off tier: a lone modal root with both tiers on would stay on the
-  // lazy interpreter (profitability dispatch) and never compile.
-  KnowledgeEvaluator eval(space, Config(1, kTiers[0], true));
+  ASSERT_GE(space.size(), 128u);  // parallel threshold
+  // A worker pool: at one thread a lone modal root stays on the lazy
+  // interpreter (profitability dispatch) and never compiles.
+  KnowledgeEvaluator eval(space, Config(4, true));
   // Two structurally equal roots built by different code paths: the
   // interner must collapse them onto one node, one sweep, one program.
   auto build = [] {
@@ -234,25 +242,26 @@ TEST(KnowledgeKernelTest, RefreshAfterDeepenInvalidatesProgramCache) {
   limits.max_depth = 4;
   limits.allow_truncation = true;
   builder.Build(bus, limits);
-  // Memo-off tier so the lone modal root compiles (see the profitability
-  // dispatch); the cache-invalidation contract is tier-independent.
-  KnowledgeEvaluator eval(builder.space(), Config(1, kTiers[0], true));
+  KnowledgeEvaluator eval(builder.space(), Config(1, true));
   const FormulaPtr f = Formula::Knows(
       ProcessSet::Of(0),
       Formula::Or(Formula::Atom(bus.HoldsToken(0)),
                   Formula::Atom(bus.HoldsToken(2))));
-  eval.SatisfyingSet(f);
+  // A two-root batch, so the modal sweep compiles at one thread (a lone
+  // modal root would stay on the lazy interpreter).
+  const std::vector<FormulaPtr> batch = {f, Formula::Not(f)};
+  eval.SatisfyingSets(batch);
   ASSERT_GT(eval.MemoryUsage().kernel_programs, 0u);
 
   ASSERT_GT(builder.Deepen(1), 0u);
   eval.Refresh();
   EXPECT_EQ(eval.MemoryUsage().kernel_programs, 0u);
 
-  KnowledgeEvaluator fresh(builder.space(), Config(1, kTiers[0], true));
-  KnowledgeEvaluator interpreted(builder.space(), Config(1, kTiers[0], false));
-  const auto expected = interpreted.SatisfyingSet(f);
-  EXPECT_EQ(eval.SatisfyingSet(f), expected);
-  EXPECT_EQ(fresh.SatisfyingSet(f), expected);
+  KnowledgeEvaluator fresh(builder.space(), Config(1, true));
+  KnowledgeEvaluator interpreted(builder.space(), Config(1, false));
+  const auto expected = interpreted.SatisfyingSets(batch);
+  EXPECT_EQ(eval.SatisfyingSets(batch), expected);
+  EXPECT_EQ(fresh.SatisfyingSets(batch), expected);
   EXPECT_GT(eval.MemoryUsage().kernel_programs, 0u);  // recompiled
 }
 
@@ -263,11 +272,12 @@ TEST(KnowledgeKernelTest, RefreshAfterIngestInvalidatesProgramCache) {
   limits.max_depth = 3;
   limits.allow_truncation = true;
   builder.Build(bus, limits);
-  KnowledgeEvaluator eval(builder.space(), Config(1, kTiers[0], true));
+  KnowledgeEvaluator eval(builder.space(), Config(1, true));
   const FormulaPtr f =
       Formula::Everyone(ProcessSet::Of(0).Union(ProcessSet::Of(1)),
                         Formula::Atom(bus.HoldsToken(0)));
-  eval.SatisfyingSet(f);
+  const std::vector<FormulaPtr> batch = {f, Formula::Not(f)};
+  eval.SatisfyingSets(batch);
   ASSERT_GT(eval.MemoryUsage().kernel_programs, 0u);
 
   // Splice the system's lexicographically-first run, two levels past the
@@ -283,38 +293,39 @@ TEST(KnowledgeKernelTest, RefreshAfterIngestInvalidatesProgramCache) {
 
   eval.Refresh();
   EXPECT_EQ(eval.MemoryUsage().kernel_programs, 0u);
-  KnowledgeEvaluator interpreted(builder.space(), Config(1, kTiers[0], false));
-  EXPECT_EQ(eval.SatisfyingSet(f), interpreted.SatisfyingSet(f));
+  KnowledgeEvaluator interpreted(builder.space(), Config(1, false));
+  EXPECT_EQ(eval.SatisfyingSets(batch), interpreted.SatisfyingSets(batch));
 }
 
-// The profitability dispatch: with both memo tiers on and no worker pool, a
-// lone modal root stays on the lazy interpreter (no program compiles), while
-// pure-boolean roots, fused batches, and memo-off sweeps use the kernel.
+// The profitability dispatch: with no worker pool, a lone modal root stays on
+// the lazy interpreter (no program compiles), while pure-boolean roots, fused
+// batches, and parallel passes use the kernel.
 TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
   RandomSystemOptions options;
   options.seed = 17;
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
+  ASSERT_GE(space.size(), 128u);  // parallel threshold
   const FormulaPtr atom = Formula::Atom(Predicate::Sent(0));
   const FormulaPtr modal = Formula::Knows(ProcessSet::Of(0), atom);
 
-  KnowledgeEvaluator lazy(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator lazy(space, Config(1, true));
   lazy.SatisfyingSet(modal);
   EXPECT_EQ(lazy.MemoryUsage().kernel_programs, 0u);
 
-  KnowledgeEvaluator boolean(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator boolean(space, Config(1, true));
   boolean.SatisfyingSet(Formula::And(atom, Formula::Not(atom)));
   EXPECT_EQ(boolean.MemoryUsage().kernel_programs, 1u);
 
-  KnowledgeEvaluator fused(space, Config(1, kTiers[2], true));
+  KnowledgeEvaluator fused(space, Config(1, true));
   const std::vector<FormulaPtr> batch = {modal,
                                          Formula::Sure(ProcessSet::Of(1), atom)};
   fused.SatisfyingSets(std::span<const FormulaPtr>(batch.data(), batch.size()));
   EXPECT_EQ(fused.MemoryUsage().kernel_programs, 1u);
 
-  KnowledgeEvaluator memo_off(space, Config(1, kTiers[0], true));
-  memo_off.SatisfyingSet(modal);
-  EXPECT_EQ(memo_off.MemoryUsage().kernel_programs, 1u);
+  KnowledgeEvaluator parallel(space, Config(4, true));
+  parallel.SatisfyingSet(modal);
+  EXPECT_EQ(parallel.MemoryUsage().kernel_programs, 1u);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
-// Determinism contract of the parallel knowledge engine: every
+// Determinism contract of multi-threaded knowledge evaluation: every
 // KnowledgeOptions::num_threads value must reproduce the sequential
 // verdicts byte for byte — satisfying sets, batch Holds, locality and
 // constancy checks, and common-knowledge component labels — on both a
 // canonicalized space and a lockstep (non-canonicalized) one, including
 // re-entrant evaluation where whole-space sweeps interleave with pointwise
-// Holds() probes over a shared formula DAG.
+// Holds() probes over a shared formula DAG, and the shapes a worker pool
+// hands back to the sequential code (empty-group modalities, singleton CK
+// components).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/knowledge.h"
@@ -153,6 +157,80 @@ TEST(KnowledgeParallelTest, MemoSizeCountsFullPlanesExactly) {
   // Re-running the sweep hits the merged shared planes: nothing new.
   eval.SatisfyingSet(f);
   EXPECT_EQ(eval.memo_size(), after_sweep);
+}
+
+TEST(KnowledgeParallelTest, EmptyGroupModalsAtFourThreadsMatchReference) {
+  // The kernel compiler refuses modalities over the empty process set, so a
+  // 4-thread evaluator answers them on the sequential interpreter — alone,
+  // nested under a compiled modality, and inside a fused batch.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 4;
+  options.seed = 9;
+  RandomSystem system(options);
+  const auto space = ComputationSpace::Enumerate(system, {.max_depth = 32});
+  ASSERT_GT(space.size(), 500u);
+  KnowledgeEvaluator reference(space,
+                               {.num_threads = 1, .compiled_kernels = false});
+  KnowledgeEvaluator parallel(space, {.num_threads = 4});
+
+  const FormulaPtr a = Formula::Atom(Predicate::CountOnAtLeast(0, 2));
+  const ProcessSet none;
+  const std::vector<FormulaPtr> formulas = {
+      Formula::Knows(none, a),
+      Formula::Sure(none, a),
+      Formula::Possible(none, Formula::Not(a)),
+      Formula::Knows(ProcessSet{0}, Formula::Possible(none, a)),
+      Formula::Or(Formula::Knows(none, a), Formula::Knows(ProcessSet{1}, a)),
+  };
+  for (const FormulaPtr& f : formulas) {
+    ASSERT_EQ(parallel.SatisfyingSet(f), reference.SatisfyingSet(f))
+        << f->ToString();
+    ASSERT_EQ(parallel.IsConstant(f), reference.IsConstant(f))
+        << f->ToString();
+  }
+  KnowledgeEvaluator fused(space, {.num_threads = 4});
+  std::vector<std::vector<std::size_t>> expected;
+  for (const FormulaPtr& f : formulas)
+    expected.push_back(reference.SatisfyingSet(f));
+  EXPECT_EQ(fused.SatisfyingSets(formulas), expected);
+
+  // Brute force: x [{}] y for every y, so K{} a holds everywhere or nowhere
+  // and M{} a does too; the space has classes on both sides of `a`.
+  const auto k = parallel.SatisfyingSet(formulas[0]);
+  EXPECT_TRUE(k.empty());
+  EXPECT_EQ(parallel.SatisfyingSet(Formula::Possible(none, a)).size(),
+            space.size());
+}
+
+TEST(KnowledgeParallelTest, SingletonGroupComponentsAtFourThreads) {
+  // For a singleton group the CK components are exactly the [p]-buckets,
+  // so each label is the smallest member of the class's [p]-bucket; a
+  // 4-thread evaluator builds them with the same sequential union-find.
+  RandomSystemOptions options;
+  options.num_processes = 3;
+  options.num_messages = 4;
+  options.seed = 42;
+  options.internal_events = 1;
+  RandomSystem system(options);
+  const auto space = ComputationSpace::Enumerate(system, {.max_depth = 32});
+  ASSERT_GT(space.size(), 500u);
+  KnowledgeEvaluator sequential(space, {.num_threads = 1});
+  KnowledgeEvaluator parallel(space, {.num_threads = 4});
+  for (ProcessId p = 0; p < space.num_processes(); ++p) {
+    for (std::size_t id = 0; id < space.size(); ++id) {
+      std::uint32_t least = UINT32_MAX;
+      for (std::uint32_t y : space.Bucket(p, space.ProjectionClass(id, p)))
+        least = std::min(least, y);
+      ASSERT_EQ(parallel.CommonComponent(ProcessSet::Of(p), id), least)
+          << "p" << p << " component of " << id;
+      ASSERT_EQ(sequential.CommonComponent(ProcessSet::Of(p), id), least);
+    }
+  }
+  // The empty group relates nothing through any process: every class is
+  // its own component.
+  for (std::size_t id = 0; id < space.size(); ++id)
+    ASSERT_EQ(parallel.CommonComponent(ProcessSet(), id), id);
 }
 
 }  // namespace

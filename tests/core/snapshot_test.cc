@@ -6,8 +6,8 @@
 // indistinguishable from the freshly enumerated one: same class ids,
 // canonical forms, hashes, projection classes, buckets, successors, group
 // tables, and (within allocator slack) the same MemoryUsage(); knowledge
-// verdicts evaluated against it must match exactly, across memo tiers and
-// thread counts.  Corrupt, truncated, or foreign files must be rejected
+// verdicts evaluated against it must match exactly, on both engines and
+// at 1 and 4 threads.  Corrupt, truncated, or foreign files must be rejected
 // with ModelError, never crash or silently load.
 #include <sstream>
 #include <vector>
@@ -235,7 +235,8 @@ TEST(SnapshotTest, RejectsCorruptInput) {
 
 // The tentpole invariant: knowledge verdicts on a loaded space are
 // byte-identical to verdicts on the freshly enumerated space — for K, E,
-// and CK formulas, across both memo tiers and at 1 and 4 threads.
+// and CK formulas, on the sequential interpreter and on compiled kernels at
+// 1 and 4 threads.
 TEST(SnapshotTest, DifferentialSatisfyingSets) {
   protocols::TokenBusSystem bus(/*num_processes=*/4, /*passes=*/4);
   EnumerationLimits limits;
@@ -253,20 +254,22 @@ TEST(SnapshotTest, DifferentialSatisfyingSets) {
       Formula::Possible(ProcessSet::Of(1), Formula::Not(atom)),
   };
 
-  for (const bool bucket_memo : {false, true}) {
-    for (const bool group_memo : {false, true}) {
-      for (const int threads : {1, 4}) {
-        KnowledgeOptions options;
-        options.num_threads = threads;
-        options.bucket_memo = bucket_memo;
-        options.group_memo = group_memo;
-        KnowledgeEvaluator fresh_eval(fresh, options);
-        KnowledgeEvaluator loaded_eval(loaded, options);
-        for (const FormulaPtr& f : formulas)
-          EXPECT_EQ(loaded_eval.SatisfyingSet(f), fresh_eval.SatisfyingSet(f))
-              << f->ToString() << " bucket=" << bucket_memo
-              << " group=" << group_memo << " threads=" << threads;
-      }
+  KnowledgeEvaluator reference(fresh,
+                               {.num_threads = 1, .compiled_kernels = false});
+  for (const KnowledgeOptions options :
+       {KnowledgeOptions{.num_threads = 1, .compiled_kernels = false},
+        KnowledgeOptions{.num_threads = 1, .compiled_kernels = true},
+        KnowledgeOptions{.num_threads = 4, .compiled_kernels = true}}) {
+    KnowledgeEvaluator fresh_eval(fresh, options);
+    KnowledgeEvaluator loaded_eval(loaded, options);
+    for (const FormulaPtr& f : formulas) {
+      const auto expected = reference.SatisfyingSet(f);
+      EXPECT_EQ(loaded_eval.SatisfyingSet(f), expected)
+          << f->ToString() << " kernels=" << options.compiled_kernels
+          << " threads=" << options.num_threads;
+      EXPECT_EQ(fresh_eval.SatisfyingSet(f), expected)
+          << f->ToString() << " kernels=" << options.compiled_kernels
+          << " threads=" << options.num_threads;
     }
   }
 }

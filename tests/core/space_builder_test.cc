@@ -206,27 +206,24 @@ TEST(SpaceBuilderTest, RefreshMatchesFreshEvaluatorAcrossMemoTiers) {
   const auto formulas = TokenBusFormulas(bus);
   const auto fresh_space =
       ComputationSpace::Enumerate(bus, TruncatableLimits(6, /*threads=*/1));
-  KnowledgeEvaluator oracle(fresh_space, {.num_threads = 1});
+  KnowledgeEvaluator oracle(fresh_space,
+                            {.num_threads = 1, .compiled_kernels = false});
 
-  for (const bool bucket_memo : {true, false}) {
-    for (const bool group_memo : {true, false}) {
-      for (const int threads : {1, 4}) {
-        SpaceBuilder builder;
-        builder.Build(bus, TruncatableLimits(5, threads));
-        KnowledgeEvaluator eval(builder.space(),
-                                {.num_threads = threads,
-                                 .bucket_memo = bucket_memo,
-                                 .group_memo = group_memo});
-        // Warm every memo tier on the shallow space first.
-        for (const FormulaPtr& f : formulas) eval.SatisfyingSet(f);
-        builder.Deepen(1);
-        eval.Refresh();
-        for (std::size_t k = 0; k < formulas.size(); ++k)
-          EXPECT_EQ(eval.SatisfyingSet(formulas[k]),
-                    oracle.SatisfyingSet(formulas[k]))
-              << "formula " << k << " bucket_memo " << bucket_memo
-              << " group_memo " << group_memo << " threads " << threads;
-      }
+  for (const bool kernels : {true, false}) {
+    for (const int threads : {1, 4}) {
+      SpaceBuilder builder;
+      builder.Build(bus, TruncatableLimits(5, threads));
+      KnowledgeEvaluator eval(builder.space(), {.num_threads = threads,
+                                                .compiled_kernels = kernels});
+      // Warm every memo tier on the shallow space first.
+      for (const FormulaPtr& f : formulas) eval.SatisfyingSet(f);
+      builder.Deepen(1);
+      eval.Refresh();
+      for (std::size_t k = 0; k < formulas.size(); ++k)
+        EXPECT_EQ(eval.SatisfyingSet(formulas[k]),
+                  oracle.SatisfyingSet(formulas[k]))
+            << "formula " << k << " kernels " << kernels << " threads "
+            << threads;
     }
   }
 }

@@ -77,7 +77,7 @@ TEST(TruncatedSpaceTest, TruncatedVerdictsAreApproximations) {
 
 TEST(TruncatedSpaceTest, TruncatedSpacesAreThreadAndMemoInvariant) {
   // Approximate or not, the determinism contracts hold on truncated spaces
-  // too: thread counts and the bucket memo tier do not change verdicts.
+  // too: compiled kernels at any thread count match the interpreter.
   const LambdaSystem system = UnboundedSystem(3);
   const auto space = ComputationSpace::Enumerate(
       system, {.max_depth = 8, .allow_truncation = true});
@@ -87,15 +87,11 @@ TEST(TruncatedSpaceTest, TruncatedSpacesAreThreadAndMemoInvariant) {
   const FormulaPtr f = Formula::Everyone(
       space.AllProcesses(), Formula::Atom(Predicate::CountOnAtLeast(1, 1)));
   KnowledgeEvaluator baseline(space,
-                              {.num_threads = 1, .bucket_memo = false});
+                              {.num_threads = 1, .compiled_kernels = false});
   const auto expected = baseline.SatisfyingSet(f);
   for (int threads : {1, 4}) {
-    for (bool memo : {false, true}) {
-      KnowledgeEvaluator eval(space,
-                              {.num_threads = threads, .bucket_memo = memo});
-      ASSERT_EQ(eval.SatisfyingSet(f), expected)
-          << threads << " threads, bucket_memo=" << memo;
-    }
+    KnowledgeEvaluator eval(space, {.num_threads = threads});
+    ASSERT_EQ(eval.SatisfyingSet(f), expected) << threads << " threads";
   }
 }
 

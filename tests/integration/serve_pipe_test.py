@@ -19,7 +19,10 @@ Contract under test:
     reports the out-of-core state of the store,
   * {"op":"deepen"} answers deterministically on a complete space
     (added=0) -- the same bytes whether the space was enumerated fresh
-    or loaded from the snapshot.
+    or loaded from the snapshot,
+  * formulas 100,000 levels deep -- `!` and modal prefixes, parentheses,
+    `=>` / `&&` / `||` chains -- get {"ok":false,...} naming the parser's
+    height limit, and the very next normal check still answers correctly.
 
 Usage: serve_pipe_test.py <path-to-hpl_cli>
 """
@@ -133,12 +136,52 @@ def run_serve(cli, snapshot_path, requests):
     return proc, responses
 
 
+def hostile_depth(cli, expected):
+    """Each over-deep formula is refused and serve keeps answering."""
+    depth = 100000
+    hostile = [
+        "!" * depth + "token_at_p0",
+        "K{0} " * depth + "token_at_p0",
+        "(" * depth + "token_at_p0" + ")" * depth,
+        "token_at_p0" + " => token_at_p1" * depth,
+        "token_at_p0" + " && token_at_p1" * depth,
+        "token_at_p0" + " || token_at_p1" * depth,
+    ]
+    good = FORMULAS[0]
+    requests = []
+    for k, formula in enumerate(hostile):
+        requests.append(json.dumps(
+            {"op": "check", "formula": formula, "id": f"deep{k}"}))
+        requests.append(json.dumps({"op": "check", "formula": good}))
+    requests.append('{"op":"quit"}')
+    proc = run_cli(cli, ["serve", SPEC, DEPTH_FLAG],
+                   stdin_data="".join(line + "\n" for line in requests))
+    check(proc.returncode == 0,
+          f"serve survives over-deep formulas (exit {proc.returncode})")
+    responses = [json.loads(line) for line in proc.stdout.splitlines()
+                 if line.strip()]
+    check(len(responses) == len(requests),
+          f"one response per deep request ({len(responses)}/{len(requests)})")
+    count, digest = expected[good]
+    for k in range(len(hostile)):
+        if 2 * k + 1 >= len(responses):
+            break
+        refused, after = responses[2 * k], responses[2 * k + 1]
+        check(refused.get("ok") is False and refused.get("id") == f"deep{k}"
+              and "maximum height of 1000" in refused.get("error", ""),
+              f"deep formula {k} refused naming the limit")
+        check(after.get("ok") is True and after.get("count") == count
+              and after.get("hash") == digest,
+              f"the check after deep formula {k} answers correctly")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit("usage: serve_pipe_test.py <path-to-hpl_cli>")
     cli = sys.argv[1]
 
     expected = standalone_verdicts(cli)
+    hostile_depth(cli, expected)
     requests = build_request_stream()
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -75,7 +75,8 @@
 //   --knowledge-threads=N  KnowledgeEvaluator workers
 //                          (both: 0 = hardware concurrency, 1 = sequential)
 //   --kernels=on|off       compiled kernel sweeps (default on; off runs the
-//                          interpreted reference engine — see core/kernel.h)
+//                          sequential interpreted reference engine at any
+//                          --knowledge-threads — see core/kernel.h)
 //   --max-depth=N          override the system's enumeration depth cap
 //   --max-classes=N        override the [D]-class budget
 //   --segment-shift=N      log2 class rows per store segment (default 16)
