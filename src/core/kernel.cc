@@ -341,11 +341,64 @@ void FillRow(std::uint64_t* row_known, std::uint64_t* row_value,
   }
 }
 
-// The atom pass shared by both execution modes: per 64-id word, verdicts
-// seeded from bits earlier pointwise queries memoized, the rest evaluated
-// against the materialized computation; the dense row comes out complete.
+// The plane of a fold-form predicate (predicate.h): event-count leaves
+// from the space's forward pass over the link column, connectives by word
+// ops over their operands' planes.  Writes all ctx.words words of `out`.
+void FoldPlane(const ExecContext& ctx, const Predicate::Fold& fold,
+               std::uint64_t* out) {
+  using Kind = Predicate::Fold::Kind;
+  switch (fold.kind) {
+    case Kind::kConst:
+      for (std::size_t w = 0; w < ctx.words; ++w)
+        out[w] = fold.value ? LiveMask(ctx.n, w) : 0;
+      return;
+    case Kind::kCount:
+      ctx.space->CountPlane(fold.count, out);
+      return;
+    case Kind::kNot:
+      FoldPlane(ctx, *fold.a, out);
+      for (std::size_t w = 0; w < ctx.words; ++w)
+        out[w] = ~out[w] & LiveMask(ctx.n, w);
+      return;
+    case Kind::kAnd:
+    case Kind::kOr:
+    case Kind::kImplies: {
+      FoldPlane(ctx, *fold.a, out);
+      std::vector<std::uint64_t> b(ctx.words);
+      FoldPlane(ctx, *fold.b, b.data());
+      for (std::size_t w = 0; w < ctx.words; ++w) {
+        const std::uint64_t a = out[w];
+        out[w] = fold.kind == Kind::kAnd  ? a & b[w]
+                 : fold.kind == Kind::kOr ? a | b[w]
+                                          : (~a | b[w]) & LiveMask(ctx.n, w);
+      }
+      return;
+    }
+  }
+}
+
+// A fold-form atom's whole dense row, without calling its opaque function:
+// one sequential pass, run before any range-sharded pass reads the row.
+// Bits earlier pointwise queries memoized are overwritten with the same
+// verdicts.
+void LoadFoldedAtom(const ExecContext& ctx, const Op& op) {
+  FoldPlane(ctx, *op.node->atom().fold(), DenseValueRow(ctx, op.dst.index));
+  std::uint64_t* known_row = DenseKnownRow(ctx, op.dst.index);
+  for (std::size_t w = 0; w < ctx.words; ++w) known_row[w] = LiveMask(ctx.n, w);
+}
+
+bool IsFoldedAtom(const Op& op) {
+  return op.code == OpCode::kLoadAtomPlane && op.node->atom().fold() != nullptr;
+}
+
+// The atom pass for opaque predicates, shared by both execution modes: per
+// 64-id word, verdicts seeded from bits earlier pointwise queries memoized,
+// the rest evaluated by calling the predicate on the materialized class
+// (ComputationSpace::At); the dense row comes out complete.  Fold-form
+// atoms never come here (LoadFoldedAtom).
 void LoadAtomRange(const ExecContext& ctx, const Op& op, std::size_t begin,
                    std::size_t end) {
+  if (IsFoldedAtom(op)) return;
   const Predicate& atom = op.node->atom();
   std::uint64_t* known_row = DenseKnownRow(ctx, op.dst.index);
   std::uint64_t* value_row = DenseValueRow(ctx, op.dst.index);
@@ -656,6 +709,11 @@ void Execute(const KernelProgram& program, const ExecContext& ctx) {
     for (std::uint32_t r = 0; r < program.num_registers; ++r)
       if (regs[r].size() != ctx.words) regs[r].resize(ctx.words);
   }
+
+  // Fold-form atom rows first: each is one sequential forward pass over
+  // the link column, so the sharded passes below only read them.
+  for (const Op& op : program.ops)
+    if (IsFoldedAtom(op)) LoadFoldedAtom(ctx, op);
 
   if (program.pointwise) {
     // Fused mode: every op is word-local, so each worker streams its

@@ -8,9 +8,14 @@
 // can be lowered once into a flat postorder array of plane-level ops and
 // each op executed word-at-a-time over 64 class ids per instruction:
 //
-//   kLoadAtomPlane      one predicate plane per atom (persisted in the
-//                       evaluator's dense memo row, seeded from bits earlier
-//                       pointwise queries already memoized)
+//   kLoadAtomPlane      one predicate plane per atom, persisted in the
+//                       evaluator's dense memo row.  A fold-form atom
+//                       (predicate.h) fills the whole row from one forward
+//                       pass over the space's link column before the other
+//                       ops run, without materializing a class; an opaque
+//                       atom evaluates the classes whose bits earlier
+//                       pointwise queries did not memoize on the
+//                       materialized computation
 //   kNot/kAnd/kOr/...   boolean connectives over 64-bit words
 //   kKnowSeg            Knows / Sure / Possible via the projection-tier
 //                       segment primitive: phase A sweeps each [p]- or
@@ -49,7 +54,9 @@
 // op-by-op, each op a ParallelFor pass whose chunks are 64-aligned so
 // concurrent writes to the shared planes never touch the same word; the
 // pass barrier orders plane reads after writes.  With a null pool every
-// pass runs inline — kernels speed up single-threaded sweeps too.
+// pass runs inline — kernels speed up single-threaded sweeps too.  The
+// fold-form atom passes run first and sequentially at every thread count:
+// each is O(n) with one table lookup per class.
 //
 // Verdicts are byte-identical to the interpreted engine at any thread
 // count: every op computes the same pure function of (node, class id) the
@@ -73,7 +80,7 @@ inline constexpr std::uint32_t kNoSegment = UINT32_MAX;
 
 enum class OpCode : std::uint8_t {
   kLoadConst,      // dst := const_value at every live id
-  kLoadAtomPlane,  // dst := atom verdict per id (dense row, seeded)
+  kLoadAtomPlane,  // dst := atom verdict per id (dense row)
   kCopy,           // dst := a  (materializes a folded root)
   kNot,            // dst := !a, masked to live ids
   kAnd,            // dst := a & b

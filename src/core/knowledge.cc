@@ -748,29 +748,6 @@ bool KnowledgeEvaluator::EvaluateEverywhereKernel(
   }
   for (const Formula* f : order) InternNode(f);
 
-  // Profitability: a lone modal root with no worker pool is better served
-  // by the lazy interpreter — the kernel computes every subformula plane at
-  // every id, while the short-circuiting recursion touches only the atom
-  // bits its quantifiers demand (measured ~5x on shallow one-shot `check`
-  // queries).  Pure-boolean programs, fused multi-root batches, and
-  // parallel passes all need (or amortize) the eager planes, so they stay
-  // on the kernel.
-  if (roots.size() == 1 && !UseParallel()) {
-    for (const Formula* f : order) {
-      switch (f->kind()) {
-        case FormulaKind::kKnows:
-        case FormulaKind::kSure:
-        case FormulaKind::kEveryone:
-        case FormulaKind::kCommon:
-        case FormulaKind::kPossible:
-          if (!node_complete_[InternNode(f)]) return false;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
   std::vector<std::uint32_t> key;
   key.reserve(roots.size());
   for (const Formula* root : roots) key.push_back(InternNode(root));

@@ -41,15 +41,21 @@
 //     formula DAG lowered to a flat bitset program, range-sharded over a
 //     worker pool when num_threads > 1;
 //   - the sequential lazy interpreter: the reference engine with kernels
-//     off (at any thread count), and the fallback with kernels on for a
-//     lone modal root at one thread (where short-circuiting quantifiers
-//     beat eager planes) and for modalities over the empty process set.
+//     off (at any thread count), and the fallback with kernels on for
+//     modalities over the empty process set.
 // Verdicts are pure functions of (formula node, class id), so both engines
-// produce byte-identical results at any thread count.  Kernel passes call
-// Predicate::Eval concurrently from multiple threads, which is safe for
+// produce byte-identical results at any thread count.
+//
+// Atoms: the kernels build a fold-form atom's plane (predicate.h) from one
+// sequential forward pass over the space's link column and never call its
+// opaque function; an opaque atom's plane is evaluated on materialized
+// computations (ComputationSpace::At), in parallel passes calling
+// Predicate::Eval concurrently from multiple threads.  That is safe for
 // every predicate in the repo because predicates are pure functions of the
 // computation; custom predicates must preserve that (no mutable state
-// inside Eval).
+// inside Eval).  The lazy interpreter — pointwise Holds, and whole-space
+// queries with kernels off — always calls Predicate::Eval on At(id), so the
+// differential reference stays independent of the fold forms.
 #ifndef HPL_CORE_KNOWLEDGE_H_
 #define HPL_CORE_KNOWLEDGE_H_
 
@@ -76,9 +82,8 @@ struct KnowledgeOptions {
   // formula DAG becomes a flat postorder array of bitset ops executed
   // word-at-a-time over the memo planes, with constant / local-formula
   // folding, instead of the per-(node, id) interpreted recursion.  Programs
-  // are cached per root-set and invalidated by Refresh().  The dispatch
-  // keeps a lone modal root on the lazy interpreter when there is no
-  // worker pool, and modalities over the empty process set always.  Off,
+  // are cached per root-set and invalidated by Refresh().  Modalities over
+  // the empty process set stay on the lazy interpreter.  Off,
   // whole-space queries run the sequential interpreter at any thread count
   // (the reference for differential tests); pointwise Holds always does.
   // Verdicts are byte-identical either way.
@@ -237,9 +242,7 @@ class KnowledgeEvaluator {
   // The kernel engine: compiles (or reuses) the program for these
   // incomplete roots and executes it over the planes.  Returns false when
   // the DAG has a shape the compiler refuses (a modality over the empty
-  // process set) or the program would lose to the lazy interpreter (a lone
-  // modal root, no worker pool); true once every root is whole-space
-  // memoized.
+  // process set); true once every root is whole-space memoized.
   bool EvaluateEverywhereKernel(std::span<const Formula* const> roots);
   // Canonicalizes f, runs the whole-space pass, and returns f's value
   // plane (one verdict bit per class id) — the shared preamble of every

@@ -1183,6 +1183,36 @@ Computation ComputationSpace::At(std::size_t id) const {
   return Computation::TrustedFromEvents(std::move(events));
 }
 
+void ComputationSpace::CountPlane(const Predicate::EventCount& count,
+                                  std::uint64_t* plane) const {
+  std::vector<std::int32_t> weight(event_pool_.size());
+  for (std::size_t e = 0; e < event_pool_.size(); ++e) {
+    const int w = count.weight(event_pool_[e]);
+    if (w < -Predicate::kMaxWeight || w > Predicate::kMaxWeight)
+      throw ModelError("ComputationSpace::CountPlane: weight " +
+                       std::to_string(w) + " of event " +
+                       event_pool_[e].ToString() + " exceeds +-" +
+                       std::to_string(Predicate::kMaxWeight));
+    weight[e] = w;
+  }
+  const std::size_t n = size();
+  std::fill(plane, plane + (n + 63) / 64, std::uint64_t{0});
+  std::vector<std::int32_t> counts(n);
+  for (auto cur = Classes(0, SIZE_MAX, out_of_core()); cur.Valid();
+       cur.Next()) {
+    // The cursor pins the segment, and links_ has one element per row, so
+    // the segment's links are contiguous from Row(begin).
+    const ClassLink* links = links_.Row(cur.begin());
+    for (std::size_t id = cur.begin(); id < cur.end(); ++id) {
+      const ClassLink& link = links[id - cur.begin()];
+      const std::int32_t c =
+          id == 0 ? 0 : counts[link.parent] + weight[link.event];
+      counts[id] = c;
+      if (count.Test(c)) plane[id / 64] |= std::uint64_t{1} << (id % 64);
+    }
+  }
+}
+
 ComputationSpace::SuccessorRange ComputationSpace::SuccessorsOf(
     std::size_t id) const {
   if (id + 1 >= succ_offsets_.size())

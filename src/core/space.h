@@ -93,6 +93,7 @@
 #include <vector>
 
 #include "core/computation.h"
+#include "core/predicate.h"
 #include "core/segment_store.h"
 #include "core/system.h"
 #include "core/types.h"
@@ -174,6 +175,20 @@ class ComputationSpace {
   // Event count of class `id` without materializing it (O(1); faults the
   // class's links segment in if it is spilled).
   std::size_t LengthOf(std::size_t id) const { return links_[id].length; }
+
+  // Whole-space plane of one fold-form leaf (predicate.h) without
+  // materializing a class: bit `id` of `plane` is count.Test(c[id]), where
+  // c[0] = 0 (the empty computation) and c[id] = c[parent] + weight(event)
+  // over the class's link.  Parents have lower ids than their children
+  // (under Build, Deepen and Ingest alike), so this is one forward pass over
+  // the link column with one table lookup per class; weights are computed
+  // once per interned event.  Writes all ceil(size() / 64) words of `plane`.
+  // Sequential: it streams the links segment by segment and, on an
+  // out-of-core space, trims residency behind itself, so call it only from
+  // a quiescent point.  Throws ModelError on a weight outside
+  // [-Predicate::kMaxWeight, Predicate::kMaxWeight].
+  void CountPlane(const Predicate::EventCount& count,
+                  std::uint64_t* plane) const;
 
   // Index of the [D]-class of `c`, if `c` (or a permutation of it) is a
   // computation of the system.

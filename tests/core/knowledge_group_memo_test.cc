@@ -152,8 +152,7 @@ TEST(KnowledgeGroupMemoTest, LockstepSpaceIsTierInvariant) {
 
 TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
   // 4-thread kernel passes fill [G]-rows exactly like [p]-rows: their
-  // results equal the 1-thread dispatch's (interpreter for these lone
-  // modal roots).
+  // results equal the sequential interpreter's.
   RandomSystemOptions options;
   options.num_processes = 4;
   options.num_messages = 4;
@@ -162,7 +161,7 @@ TEST(KnowledgeGroupMemoTest, SequentialAndParallelEnginesAgreeWithTierOn) {
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 32});
   ASSERT_GT(space.size(), 1000u);
-  KnowledgeEvaluator seq(space, {.num_threads = 1});
+  KnowledgeEvaluator seq(space, {.num_threads = 1, .compiled_kernels = false});
   KnowledgeEvaluator par(space, {.num_threads = 4});
   const FormulaPtr atom = Formula::Atom(Predicate::CountOnAtLeast(0, 2));
   for (const FormulaPtr& f :

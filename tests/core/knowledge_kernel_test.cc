@@ -4,10 +4,10 @@
 // 4 threads — on canonicalized, lockstep (literal interleaving), and
 // crash-fault spaces; for single sweeps and fused SatisfyingSets batches;
 // and across Refresh() after Deepen/Ingest, which must invalidate the
-// kernel program cache.  The profitability dispatch (a lone modal root with
-// no worker pool stays on the lazy interpreter) is pinned by
-// LoneModalRootStaysOnInterpreter; the differentials therefore also ask for
-// each formula in a two-root batch, which always compiles.
+// kernel program cache.  With kernels on, every whole-space query compiles
+// except modalities over the empty process set (pinned by
+// LoneModalRootCompilesAtOneThread); the differentials ask for each formula
+// alone and in a two-root batch, which compiles a program of its own.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -60,7 +60,7 @@ std::vector<FormulaPtr> KernelFormulas(const FormulaPtr& a,
       Formula::Knows(ProcessSet::Of(0), Formula::Common(pair, a)),
       Formula::Sure(pair, Formula::Knows(ProcessSet::Of(0), a)),
       Formula::Everyone(pair, Formula::Common(pair, b)),
-      // Nested modal over boolean glue: kernels and interpreter interleave.
+      // Nested modal over boolean glue.
       Formula::Knows(ProcessSet::Of(1),
                      Formula::And(Formula::Knows(ProcessSet::Of(0), a),
                                   Formula::Not(b))),
@@ -89,10 +89,10 @@ void ExpectKernelsMatchInterpreter(const ComputationSpace& space,
   for (const int threads : {1, 4}) {
     // Kernels off runs the same sequential interpreter at any thread count.
     KnowledgeEvaluator interpreted(space, Config(threads, false));
-    // Lone roots: the profitability dispatch decides the engine.
+    // Lone roots: one program per root.
     KnowledgeEvaluator lone(space, Config(threads, true));
-    // Two-root batches {f, !f}: never a lone modal root, so every op the
-    // compiler emits runs here, whatever the space size or thread count.
+    // Two-root batches {f, !f}: the same ops over a shared program, run in
+    // the segmented mode whenever f is modal.
     KnowledgeEvaluator batched(space, Config(threads, true));
     for (const FormulaPtr& f : battery) {
       const auto expected = reference.SatisfyingSet(f);
@@ -193,7 +193,6 @@ TEST(KnowledgeKernelTest, PointwiseHoldsInterleavesWithKernelSweeps) {
       Formula::Or(Formula::Atom(Predicate::Sent(0)),
                   Formula::Atom(Predicate::Received(1))));
   KnowledgeEvaluator interpreted(space, Config(1, false));
-  // A worker pool, so the lone modal root compiles.
   KnowledgeEvaluator kernels(space, Config(4, true));
   // Pointwise probes seed partial memo bits; the kernel sweep must respect
   // and complete them, and pointwise probes after it must hit the planes.
@@ -211,8 +210,6 @@ TEST(KnowledgeKernelTest, StructurallyEqualFormulasShareOneProgram) {
   RandomSystem system(options);
   const auto space = ComputationSpace::Enumerate(system, {.max_depth = 24});
   ASSERT_GE(space.size(), 128u);  // parallel threshold
-  // A worker pool: at one thread a lone modal root stays on the lazy
-  // interpreter (profitability dispatch) and never compiles.
   KnowledgeEvaluator eval(space, Config(4, true));
   // Two structurally equal roots built by different code paths: the
   // interner must collapse them onto one node, one sweep, one program.
@@ -247,8 +244,7 @@ TEST(KnowledgeKernelTest, RefreshAfterDeepenInvalidatesProgramCache) {
       ProcessSet::Of(0),
       Formula::Or(Formula::Atom(bus.HoldsToken(0)),
                   Formula::Atom(bus.HoldsToken(2))));
-  // A two-root batch, so the modal sweep compiles at one thread (a lone
-  // modal root would stay on the lazy interpreter).
+  // A two-root batch: one program for both roots.
   const std::vector<FormulaPtr> batch = {f, Formula::Not(f)};
   eval.SatisfyingSets(batch);
   ASSERT_GT(eval.MemoryUsage().kernel_programs, 0u);
@@ -297,10 +293,11 @@ TEST(KnowledgeKernelTest, RefreshAfterIngestInvalidatesProgramCache) {
   EXPECT_EQ(eval.SatisfyingSets(batch), interpreted.SatisfyingSets(batch));
 }
 
-// The profitability dispatch: with no worker pool, a lone modal root stays on
-// the lazy interpreter (no program compiles), while pure-boolean roots, fused
-// batches, and parallel passes use the kernel.
-TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
+// Dispatch: with kernels on, a lone modal root compiles at one thread as it
+// does with a worker pool — atom planes no longer cost a materialization per
+// class, so the kernel no longer loses to the short-circuiting interpreter —
+// and so do pure-boolean roots and fused batches.
+TEST(KnowledgeKernelTest, LoneModalRootCompilesAtOneThread) {
   RandomSystemOptions options;
   options.seed = 17;
   RandomSystem system(options);
@@ -309,9 +306,11 @@ TEST(KnowledgeKernelTest, LoneModalRootStaysOnInterpreter) {
   const FormulaPtr atom = Formula::Atom(Predicate::Sent(0));
   const FormulaPtr modal = Formula::Knows(ProcessSet::Of(0), atom);
 
-  KnowledgeEvaluator lazy(space, Config(1, true));
-  lazy.SatisfyingSet(modal);
-  EXPECT_EQ(lazy.MemoryUsage().kernel_programs, 0u);
+  KnowledgeEvaluator lone(space, Config(1, true));
+  KnowledgeEvaluator interpreted(space, Config(1, false));
+  EXPECT_EQ(lone.SatisfyingSet(modal), interpreted.SatisfyingSet(modal));
+  EXPECT_EQ(lone.MemoryUsage().kernel_programs, 1u);
+  EXPECT_EQ(interpreted.MemoryUsage().kernel_programs, 0u);
 
   KnowledgeEvaluator boolean(space, Config(1, true));
   boolean.SatisfyingSet(Formula::And(atom, Formula::Not(atom)));

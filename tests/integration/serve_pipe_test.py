@@ -22,7 +22,10 @@ Contract under test:
     or loaded from the snapshot,
   * formulas 100,000 levels deep -- `!` and modal prefixes, parentheses,
     `=>` / `&&` / `||` chains -- get {"ok":false,...} naming the parser's
-    height limit, and the very next normal check still answers correctly.
+    height limit, and the very next normal check still answers correctly,
+  * request lines nested 200,000 levels deep -- arrays, objects, and an
+    array inside a request -- get {"ok":false,...} naming the JSON nesting
+    limit, and the next ping and normal check are still answered.
 
 Usage: serve_pipe_test.py <path-to-hpl_cli>
 """
@@ -175,6 +178,44 @@ def hostile_depth(cli, expected):
               f"the check after deep formula {k} answers correctly")
 
 
+def hostile_nesting(cli, expected):
+    """Each over-nested request line is refused and serve keeps answering."""
+    depth = 200000
+    hostile = [
+        "[" * depth + "]" * depth,
+        '{"a":' * depth + "1" + "}" * depth,
+        '{"op":"check","formula":' + "[" * depth + "]" * depth + "}",
+    ]
+    good = FORMULAS[0]
+    requests = []
+    for line in hostile:
+        requests.append(line)
+        requests.append('{"op":"ping"}')
+        requests.append(json.dumps({"op": "check", "formula": good}))
+    requests.append('{"op":"quit"}')
+    proc = run_cli(cli, ["serve", SPEC, DEPTH_FLAG],
+                   stdin_data="".join(line + "\n" for line in requests))
+    check(proc.returncode == 0,
+          f"serve survives over-nested requests (exit {proc.returncode})")
+    responses = [json.loads(line) for line in proc.stdout.splitlines()
+                 if line.strip()]
+    check(len(responses) == len(requests),
+          f"one response per nested request ({len(responses)}/{len(requests)})")
+    count, digest = expected[good]
+    for k in range(len(hostile)):
+        if 3 * k + 2 >= len(responses):
+            break
+        refused, ping, after = responses[3 * k:3 * k + 3]
+        check(refused.get("ok") is False
+              and "nesting deeper than 64" in refused.get("error", ""),
+              f"nested request {k} refused naming the limit")
+        check(ping.get("ok") is True and ping.get("op") == "ping",
+              f"the ping after nested request {k} answers")
+        check(after.get("ok") is True and after.get("count") == count
+              and after.get("hash") == digest,
+              f"the check after nested request {k} answers correctly")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit("usage: serve_pipe_test.py <path-to-hpl_cli>")
@@ -182,6 +223,7 @@ def main():
 
     expected = standalone_verdicts(cli)
     hostile_depth(cli, expected)
+    hostile_nesting(cli, expected)
     requests = build_request_stream()
 
     with tempfile.TemporaryDirectory() as tmp:

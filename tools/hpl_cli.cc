@@ -654,6 +654,8 @@ int CmdCheck(const std::string& spec, const std::string& text,
   const std::optional<std::string>& json_path = flags.json_path;
   NamedSystem named = MakeSystem(spec);
   ApplyFaultFlags(named, flags);
+  // Parse first: a bad formula fails before the space is enumerated.
+  FormulaPtr formula = Formula::Parse(text, named.atoms);
   const EnumerationLimits limits = LimitsFor(named, flags);
   bench::WallTimer enumerate_timer;
   auto space = ComputationSpace::Enumerate(*named.system, limits);
@@ -661,7 +663,6 @@ int CmdCheck(const std::string& spec, const std::string& text,
   WarnIfTruncated(space);
   KnowledgeEvaluator eval(space, {.num_threads = flags.knowledge_threads,
                                   .compiled_kernels = flags.kernels});
-  FormulaPtr formula = Formula::Parse(text, named.atoms);
   std::printf("system:  %s (%zu computations%s)\n",
               named.system->Name().c_str(), space.size(),
               space.truncated() ? ", TRUNCATED" : "");
@@ -713,6 +714,10 @@ int CmdCheckAt(const std::string& spec, const std::string& text,
                const std::string& serialized, const CliOptions& flags) {
   const std::optional<std::string>& json_path = flags.json_path;
   NamedSystem named = MakeSystem(spec);
+  // Parse first: a bad formula or computation fails before the space is
+  // enumerated.
+  FormulaPtr formula = Formula::Parse(text, named.atoms);
+  const Computation at = ParseComputation(serialized);
   const EnumerationLimits limits = LimitsFor(named, flags);
   bench::WallTimer enumerate_timer;
   auto space = ComputationSpace::Enumerate(*named.system, limits);
@@ -720,8 +725,6 @@ int CmdCheckAt(const std::string& spec, const std::string& text,
   WarnIfTruncated(space);
   KnowledgeEvaluator eval(space, {.num_threads = flags.knowledge_threads,
                                   .compiled_kernels = flags.kernels});
-  FormulaPtr formula = Formula::Parse(text, named.atoms);
-  const Computation at = ParseComputation(serialized);
   const auto id = space.IndexOf(at);
   if (!id.has_value()) {
     if (space.truncated() &&
@@ -954,6 +957,10 @@ std::string Escape(const std::string& s) {
   return out;
 }
 
+// Deepest array/object nesting a request may use.  The parser recurses
+// once per level, so the limit bounds its stack; real requests nest 2 deep.
+constexpr int kMaxNesting = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -993,8 +1000,16 @@ class Parser {
     SkipSpace();
     const char c = Peek();
     Value v;
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNesting)
+        throw ModelError("bad JSON: nesting deeper than " +
+                         std::to_string(kMaxNesting) + " levels at offset " +
+                         std::to_string(pos_));
+      ++depth_;
+      v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       v.type = Value::Type::kString;
       v.string = ParseString();
@@ -1122,6 +1137,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around the current value
 };
 
 Value Parse(std::string_view text) { return Parser(text).Parse(); }
