@@ -1,13 +1,17 @@
 // Experiment E26 — the snapshot-backed query service: what does `hpl_cli
 // serve` buy over one-shot `check` invocations?  Three measurements on one
-// token-bus space:
+// random-system space:
 //
-//   * snapshot save/load wall time vs re-enumerating the space,
+//   * snapshot save/load wall time vs re-enumerating the space, plus save
+//     and load of the 141,745-class tracker:8 space `serve` benchmarks
+//     warm (best of 5, one thread — large enough for the wall gate),
 //   * cold vs warm query throughput — cold pays a fresh KnowledgeEvaluator
 //     (empty memo planes) per query, warm reuses one evaluator across >=100
 //     queries the way `serve` does,
 //   * fused multi-formula sweeps (SatisfyingSets over a batch) vs the same
 //     batch as sequential per-formula passes.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <sstream>
@@ -18,6 +22,7 @@
 #include "core/knowledge.h"
 #include "core/serialization.h"
 #include "core/random_system.h"
+#include "protocols/tracker.h"
 
 using namespace hpl;
 
@@ -87,6 +92,32 @@ int main(int argc, char** argv) {
   snapshot_table.AddRow({"load", bench::Fmt(load_ns / 1e6),
                       std::to_string(loaded.size()), "-",
                       bench::Fmt(load_speedup) + "x"});
+
+  // Snapshot IO at scale: the tracker:8 space `serve` loads, best of 5
+  // single-threaded saves and loads.
+  protocols::TrackerSystem tracker(/*num_flips=*/8);
+  EnumerationLimits tracker_limits;
+  tracker_limits.num_threads = 1;
+  const auto big = ComputationSpace::Enumerate(tracker, tracker_limits);
+  std::string big_bytes;
+  std::int64_t big_save_ns = INT64_MAX;
+  std::int64_t big_load_ns = INT64_MAX;
+  for (int rep = 0; rep < 5; ++rep) {
+    std::ostringstream out;
+    bench::WallTimer big_save_timer;
+    SaveSpaceSnapshot(big, out);
+    big_save_ns = std::min(big_save_ns, big_save_timer.ElapsedNs());
+    big_bytes = out.str();
+    std::istringstream in(big_bytes);
+    bench::WallTimer big_load_timer;
+    const auto back = LoadSpaceSnapshot(in);
+    big_load_ns = std::min(big_load_ns, big_load_timer.ElapsedNs());
+  }
+  snapshot_table.AddRow({"save tracker:8", bench::Fmt(big_save_ns / 1e6),
+                         std::to_string(big.size()),
+                         std::to_string(big_bytes.size()), "-"});
+  snapshot_table.AddRow({"load tracker:8", bench::Fmt(big_load_ns / 1e6),
+                         std::to_string(big.size()), "-", "-"});
   snapshot_table.Print();
 
   reporter.Add({.name = "snapshot/save(random(n=4,m=5,seed=42))",
@@ -106,6 +137,22 @@ int main(int argc, char** argv) {
                 .space_classes = loaded.size(),
                 .classes_per_sec = bench::ClassesPerSec(loaded.size(), load_ns),
                 .bytes_space = loaded.MemoryUsage().bytes_total});
+
+  const std::size_t big_bytes_space = big.MemoryUsage().bytes_total;
+  reporter.Add({.name = "snapshot/save(tracker:8)",
+                .params = {{"threads", 1},
+                           {"snapshot_bytes",
+                            static_cast<double>(big_bytes.size())}},
+                .wall_ns = big_save_ns,
+                .space_classes = big.size(),
+                .classes_per_sec = bench::ClassesPerSec(big.size(), big_save_ns),
+                .bytes_space = big_bytes_space});
+  reporter.Add({.name = "snapshot/load(tracker:8)",
+                .params = {{"threads", 1}},
+                .wall_ns = big_load_ns,
+                .space_classes = big.size(),
+                .classes_per_sec = bench::ClassesPerSec(big.size(), big_load_ns),
+                .bytes_space = big_bytes_space});
 
   // --- Cold vs warm throughput over the loaded space (serve's substrate).
   // Cold: every query pays a fresh evaluator, exactly like a one-shot

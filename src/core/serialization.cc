@@ -9,6 +9,8 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -129,7 +131,7 @@ Computation ParseComputation(const std::string& text) {
   return built;
 }
 
-// --- Binary space snapshots (hpl-space-v1) ---------------------------------
+// --- Binary space snapshots (hpl-space-v3) ---------------------------------
 
 namespace {
 
@@ -144,6 +146,67 @@ constexpr std::uint64_t kMaxPlausibleCount = std::uint64_t{1} << 33;
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// Column payloads move through a staging buffer of at most this many bytes,
+// one chunk at a time: no save or load holds a whole column, let alone a
+// whole file, in memory.
+constexpr std::size_t kChunkBytes = 64 * 1024;
+
+// Tags of the segmented columns, in file order: the v3 segment directory
+// lists them in this order and error messages name them.
+constexpr const char* kColumnTags[] = {"links", "canonh", "canoni", "proj",
+                                       "succo", "succc", "succe"};
+
+std::uint64_t Fold(std::uint64_t h, const unsigned char* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+// FNV-1a folds `n` bytes of each of K slices into that slice's checksum,
+// all K chains in one loop.  The chains are independent, so they overlap;
+// one chain alone is bound by the multiply latency.
+template <std::size_t K>
+void FoldLanes(std::uint64_t* const* sums, const unsigned char* const* slices,
+               std::size_t n) {
+  std::uint64_t h[K];
+  for (std::size_t j = 0; j < K; ++j) h[j] = *sums[j];
+  for (std::size_t i = 0; i < n; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < K; ++j) h[j] = (h[j] ^ slices[j][i]) * kFnvPrime;
+  }
+  for (std::size_t j = 0; j < K; ++j) *sums[j] = h[j];
+}
+
+// FoldLanes for a run-time lane count in [1, sizeof...(K)].
+template <std::size_t... K>
+void FoldLockstep(std::size_t lanes, std::uint64_t* const* sums,
+                  const unsigned char* const* slices, std::size_t n,
+                  std::index_sequence<K...>) {
+  constexpr void (*kFold[])(std::uint64_t* const*, const unsigned char* const*,
+                            std::size_t) = {&FoldLanes<K + 1>...};
+  kFold[lanes - 1](sums, slices, n);
+}
+
+// Explicit little-endian integer encoding.  The loops are unrolled so the
+// compiler merges them into single loads and stores on little-endian hosts.
+template <typename Int>
+void PutLE(unsigned char* p, Int v) {
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < sizeof(Int); ++i)
+    p[i] = static_cast<unsigned char>(static_cast<std::uint64_t>(v) >> (8 * i));
+}
+
+template <typename Int>
+Int GetLE(const unsigned char* p) {
+  std::uint64_t v = 0;
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < sizeof(Int); ++i)
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return static_cast<Int>(v);
+}
+
 // Little-endian writer over an ostream, folding an FNV-1a checksum of every
 // byte it emits.
 class Writer {
@@ -153,46 +216,26 @@ class Writer {
   void Bytes(const void* data, std::size_t n) {
     out_.write(static_cast<const char*>(data),
                static_cast<std::streamsize>(n));
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= kFnvPrime;
-    }
+    hash_ = Fold(hash_, static_cast<const unsigned char*>(data), n);
   }
-  void U8(std::uint8_t v) { Bytes(&v, 1); }
-  void U16(std::uint16_t v) {
-    const unsigned char b[2] = {static_cast<unsigned char>(v),
-                                static_cast<unsigned char>(v >> 8)};
-    Bytes(b, 2);
+  template <typename Int>
+  void Put(Int v) {
+    unsigned char b[sizeof(Int)];
+    PutLE(b, v);
+    Bytes(b, sizeof(b));
   }
-  void U32(std::uint32_t v) {
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    Bytes(b, 4);
-  }
-  void U64(std::uint64_t v) {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    Bytes(b, 8);
-  }
+  void U8(std::uint8_t v) { Put(v); }
+  void U16(std::uint16_t v) { Put(v); }
+  void U32(std::uint32_t v) { Put(v); }
+  void U64(std::uint64_t v) { Put(v); }
   void Str(const std::string& s) {
     U32(static_cast<std::uint32_t>(s.size()));
     Bytes(s.data(), s.size());
   }
-  void U32Column(const std::vector<std::uint32_t>& column) {
-    U64(column.size());
-    for (std::uint32_t v : column) U32(v);
-  }
-  void U32SegColumn(const internal::SegColumn<std::uint32_t>& column) {
-    U64(column.size());
-    for (std::size_t i = 0; i < column.size(); ++i) U32(column[i]);
-  }
   // Emits the running checksum (not folded into itself) and ends the file.
   void Checksum() {
-    const std::uint64_t sum = hash_;
     unsigned char b[8];
-    for (int i = 0; i < 8; ++i)
-      b[i] = static_cast<unsigned char>(sum >> (8 * i));
+    PutLE(b, hash_);
     out_.write(reinterpret_cast<const char*>(b), 8);
   }
   bool ok() const { return static_cast<bool>(out_); }
@@ -209,40 +252,19 @@ class Reader {
   explicit Reader(std::istream& in) : in_(in) {}
 
   void Bytes(void* data, std::size_t n, const char* where) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n)
-      throw ModelError(std::string("LoadSpaceSnapshot: truncated snapshot (") +
-                       where + ")");
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= kFnvPrime;
-    }
+    Fill(data, n, where);
+    hash_ = Fold(hash_, static_cast<const unsigned char*>(data), n);
   }
-  std::uint8_t U8(const char* where) {
-    std::uint8_t v;
-    Bytes(&v, 1, where);
-    return v;
+  template <typename Int>
+  Int Get(const char* where) {
+    unsigned char b[sizeof(Int)];
+    Bytes(b, sizeof(b), where);
+    return GetLE<Int>(b);
   }
-  std::uint16_t U16(const char* where) {
-    unsigned char b[2];
-    Bytes(b, 2, where);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  }
-  std::uint32_t U32(const char* where) {
-    unsigned char b[4];
-    Bytes(b, 4, where);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-  }
-  std::uint64_t U64(const char* where) {
-    unsigned char b[8];
-    Bytes(b, 8, where);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-  }
+  std::uint8_t U8(const char* where) { return Get<std::uint8_t>(where); }
+  std::uint16_t U16(const char* where) { return Get<std::uint16_t>(where); }
+  std::uint32_t U32(const char* where) { return Get<std::uint32_t>(where); }
+  std::uint64_t U64(const char* where) { return Get<std::uint64_t>(where); }
   std::uint64_t Count(const char* where) {
     const std::uint64_t n = U64(where);
     if (n > kMaxPlausibleCount)
@@ -260,56 +282,39 @@ class Reader {
     Bytes(s.data(), n, where);
     return s;
   }
-  std::vector<std::uint32_t> U32Column(const char* where) {
-    const std::uint64_t n = Count(where);
-    std::vector<std::uint32_t> column;
-    column.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) column.push_back(U32(where));
-    return column;
+  // Reads the next `n` (<= kChunkBytes) payload bytes into the staging
+  // buffer, reused for every column, with one istream read, and folds them
+  // into the file checksum and `*column` in the same loop — two
+  // independent FNV chains, so they overlap.
+  const unsigned char* Chunk(std::size_t n, std::uint64_t* column,
+                             const char* where) {
+    Fill(stage_.data(), n, where);
+    std::uint64_t* const sums[] = {&hash_, column};
+    const unsigned char* const slices[] = {stage_.data(), stage_.data()};
+    FoldLanes<2>(sums, slices, n);
+    return stage_.data();
   }
   // Reads the trailing checksum (without folding it) and verifies it
   // matches everything read so far.
   void VerifyChecksum() {
-    const std::uint64_t expected = hash_;
     unsigned char b[8];
-    in_.read(reinterpret_cast<char*>(b), 8);
-    if (in_.gcount() != 8)
-      throw ModelError("LoadSpaceSnapshot: truncated snapshot (checksum)");
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-      stored |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    if (stored != expected)
+    Fill(b, 8, "checksum");
+    if (GetLE<std::uint64_t>(b) != hash_)
       throw ModelError("LoadSpaceSnapshot: checksum mismatch (corrupt file)");
   }
 
  private:
+  void Fill(void* data, std::size_t n, const char* where) {
+    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in_.gcount()) != n)
+      throw ModelError(std::string("LoadSpaceSnapshot: truncated snapshot (") +
+                       where + ")");
+  }
+
   std::istream& in_;
   std::uint64_t hash_ = kFnvOffset;
+  std::vector<unsigned char> stage_ = std::vector<unsigned char>(kChunkBytes);
 };
-
-// FNV-1a folds over the little-endian wire form of column elements — the
-// per-column checksums in the v3 segment directory.
-std::uint64_t FoldU16(std::uint64_t h, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-std::uint64_t FoldU32(std::uint64_t h, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-std::uint64_t FoldU64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // One v3 segment-directory row: a segmented column's identity and payload
 // checksum, written in the header so corruption is attributed by name.
@@ -319,31 +324,6 @@ struct SegDirEntry {
   std::uint32_t segments = 0;
   std::uint64_t checksum = 0;
 };
-
-// Reads `n` u32 elements into a segmented column in chunks (the bulk-append
-// path of a budget-bounded load), spilling sealed segments as it goes, and
-// returns the FNV-1a checksum of the streamed payload for the directory
-// check.
-std::uint64_t ReadU32SegColumn(Reader& r,
-                               internal::SegColumn<std::uint32_t>& column,
-                               std::uint64_t n, const char* where,
-                               internal::SegmentedSpaceStore* store) {
-  std::uint64_t h = kFnvOffset;
-  std::uint32_t buf[4096];
-  while (n > 0) {
-    const std::size_t take =
-        static_cast<std::size_t>(std::min<std::uint64_t>(n, 4096));
-    for (std::size_t i = 0; i < take; ++i) {
-      buf[i] = r.U32(where);
-      h = FoldU32(h, buf[i]);
-    }
-    column.Append(buf, take);
-    n -= take;
-    if (store != nullptr && store->out_of_core()) store->EnforceBudget();
-  }
-  return h;
-}
-
 // Header (everything ReadSpaceSnapshotInfo needs), after the magic: version,
 // shape flags, name, the summary counts, (v2) the frontier fields, and (v3)
 // the segment directory.
@@ -475,33 +455,150 @@ struct SpaceSnapshotIO {
     std::uint64_t begin = 0;
   };
 
-  // Per-column FNV-1a checksums over each column's little-endian wire form,
-  // recorded in the v3 segment directory.  The links column interleaves
-  // field widths, so it gets its own fold.
-  static std::uint64_t LinksChecksum(const ComputationSpace& space) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < space.links_.size(); ++i) {
-      const ComputationSpace::ClassLink link = space.links_[i];
-      h = FoldU32(h, link.parent);
-      h = FoldU32(h, link.event);
-      h = FoldU16(h, link.pos);
-      h = FoldU16(h, link.length);
+  using ClassLink = ComputationSpace::ClassLink;
+
+  // Wire form of one column row: fixed-width little-endian fields.  A class
+  // link is its parent and event (u32 each), then its splice position and
+  // length (u16 each); the other columns are plain u32 or u64 rows.
+  template <typename T>
+  static constexpr std::size_t kWireBytes =
+      std::is_same_v<T, ClassLink> ? 12 : sizeof(T);
+
+  static void Encode(const ClassLink& link, unsigned char* p) {
+    PutLE(p, link.parent);
+    PutLE(p + 4, link.event);
+    PutLE(p + 8, link.pos);
+    PutLE(p + 10, link.length);
+  }
+  template <typename Int>
+  static void Encode(Int v, unsigned char* p) {
+    PutLE(p, v);
+  }
+  static void Decode(const unsigned char* p, ClassLink* link) {
+    link->parent = GetLE<std::uint32_t>(p);
+    link->event = GetLE<std::uint32_t>(p + 4);
+    link->pos = GetLE<std::uint16_t>(p + 8);
+    link->length = GetLE<std::uint16_t>(p + 10);
+  }
+  template <typename Int>
+  static void Decode(const unsigned char* p, Int* v) {
+    *v = GetLE<Int>(p);
+  }
+
+  template <typename T>
+  static void EncodeSlice(const T* rows, std::size_t n, unsigned char* out) {
+    for (std::size_t i = 0; i < n; ++i) Encode(rows[i], out + i * kWireBytes<T>);
+  }
+
+  // Encodes a segmented column's wire form slice by slice.  Each call
+  // writes the next whole rows of the current segment (at most `max_bytes`)
+  // to `out` and returns the bytes written, 0 at the end.  The current
+  // segment stays pinned between calls; moving to the next one releases it
+  // and trims the residency budget.
+  template <typename T>
+  class ColumnSlicer {
+   public:
+    ColumnSlicer(const SegColumn<T>& column, SegmentedSpaceStore& store)
+        : column_(column), store_(store) {}
+
+    std::size_t operator()(unsigned char* out, std::size_t max_bytes) {
+      if (next_ == column_.size()) {
+        pin_.Release();
+        return 0;
+      }
+      const std::size_t s = column_.SegOf(next_);
+      if (base_ == nullptr || s != seg_) {
+        pin_.Release();
+        if (store_.out_of_core()) store_.EnforceBudget();
+        base_ = column_.PinSegment(s, &pin_);
+        seg_ = s;
+      }
+      const std::size_t rows = std::min(column_.SegmentEnd(s) - next_,
+                                        max_bytes / kWireBytes<T>);
+      EncodeSlice(base_ + (next_ - column_.SegmentBegin(s)), rows, out);
+      next_ += rows;
+      return rows * kWireBytes<T>;
     }
-    return h;
+
+   private:
+    const SegColumn<T>& column_;
+    SegmentedSpaceStore& store_;
+    SegmentPin pin_;
+    const T* base_ = nullptr;
+    std::size_t seg_ = 0;
+    std::size_t next_ = 0;
+  };
+
+  // The v3 directory checksums of the segmented columns, in kColumnTags
+  // order, folded in one lockstep pass: each round encodes the next slice
+  // of every unfinished column side by side in `stage` and folds the slices
+  // together, so the columns' FNV chains overlap instead of running one
+  // column after another.
+  static std::vector<std::uint64_t> DirectoryChecksums(
+      const ComputationSpace& space, std::vector<unsigned char>& stage) {
+    constexpr std::size_t kColumns = std::size(kColumnTags);
+    constexpr std::size_t kSlice = kChunkBytes / kColumns;
+    SegmentedSpaceStore& store = *space.store_;
+    auto slicers = std::make_tuple(
+        ColumnSlicer(space.links_, store), ColumnSlicer(space.canon_hash_, store),
+        ColumnSlicer(space.canon_id_, store),
+        ColumnSlicer(space.proj_class_, store),
+        ColumnSlicer(space.succ_offsets_, store),
+        ColumnSlicer(space.succ_class_, store),
+        ColumnSlicer(space.succ_event_, store));
+    static_assert(std::tuple_size_v<decltype(slicers)> == kColumns);
+    std::vector<std::uint64_t> sums(kColumns, kFnvOffset);
+    for (;;) {
+      std::uint64_t* lane_sum[kColumns];
+      const unsigned char* lane[kColumns];
+      std::size_t lane_bytes[kColumns];
+      std::size_t lanes = 0;
+      std::size_t common = kSlice;
+      std::size_t column = 0;
+      const auto next = [&](auto& slicer) {
+        unsigned char* out = stage.data() + column * kSlice;
+        const std::size_t bytes = slicer(out, kSlice);
+        if (bytes != 0) {
+          lane_sum[lanes] = &sums[column];
+          lane[lanes] = out;
+          lane_bytes[lanes] = bytes;
+          common = std::min(common, bytes);
+          ++lanes;
+        }
+        ++column;
+      };
+      std::apply([&](auto&... slicer) { (next(slicer), ...); }, slicers);
+      if (lanes == 0) break;
+      FoldLockstep(lanes, lane_sum, lane, common,
+                   std::make_index_sequence<kColumns>());
+      for (std::size_t l = 0; l < lanes; ++l)
+        *lane_sum[l] =
+            Fold(*lane_sum[l], lane[l] + common, lane_bytes[l] - common);
+    }
+    return sums;
   }
-  static std::uint64_t U64ColumnChecksum(
-      const internal::SegColumn<std::size_t>& column) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < column.size(); ++i)
-      h = FoldU64(h, static_cast<std::uint64_t>(column[i]));
-    return h;
-  }
-  static std::uint64_t U32ColumnChecksum(
-      const internal::SegColumn<std::uint32_t>& column) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < column.size(); ++i)
-      h = FoldU32(h, column[i]);
-    return h;
+
+  // Streams `n` rows of a column payload: each chunk is one read into the
+  // reader's staging buffer, folded into the file and column checksums in
+  // one pass, then decoded into typed rows handed to
+  // `sink(rows, count, first_row)`.  Returns the column checksum.
+  template <typename T, typename Sink>
+  static std::uint64_t ReadRows(Reader& r, std::uint64_t n, const char* where,
+                                Sink&& sink) {
+    constexpr std::size_t kWire = kWireBytes<T>;
+    std::vector<T> rows(
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, kChunkBytes / kWire)));
+    std::uint64_t sum = kFnvOffset;
+    for (std::uint64_t first = 0; first < n;) {
+      const auto take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(n - first, rows.size()));
+      const unsigned char* p = r.Chunk(take * kWire, &sum, where);
+      T* const out = rows.data();
+      for (std::size_t i = 0; i < take; ++i) Decode(p + i * kWire, out + i);
+      sink(out, take, first);
+      first += take;
+    }
+    return sum;
   }
 
   static void Save(const ComputationSpace& space, std::ostream& out,
@@ -526,11 +623,11 @@ struct SpaceSnapshotIO {
     std::sort(groups.begin(), groups.end(),
               [](const auto* a, const auto* b) { return a->mask_ < b->mask_; });
 
-    // Faulting every element twice (once for the directory checksums, once
+    // Faulting every segment twice (once for the directory checksums, once
     // for the payload) is the price of writing the checksums in the header;
-    // trim the residency budget between passes so saving an out-of-core
-    // space never exceeds it.
-    internal::SegmentedSpaceStore& store = *space.store_;
+    // the slicers trim the residency budget at every segment they leave, so
+    // saving an out-of-core space stays within it.
+    SegmentedSpaceStore& store = *space.store_;
     const auto trim = [&store] {
       if (store.out_of_core()) store.EnforceBudget();
     };
@@ -549,6 +646,7 @@ struct SpaceSnapshotIO {
     info.built_depth = frontier.built_depth;
     info.frontier_begin = frontier.begin;
 
+    std::vector<unsigned char> stage(kChunkBytes);
     std::vector<SegDirEntry> dir;
     if (version >= 3) {
       // The snapshot is a logical serialization: the directory describes the
@@ -557,64 +655,62 @@ struct SpaceSnapshotIO {
       // of the same system save byte-identical files.
       info.segment_shift = SegmentOptions{}.segment_shift;
       const std::size_t rows_per_seg = std::size_t{1} << info.segment_shift;
-      const auto entry = [&](const char* tag, std::uint64_t elems,
-                             std::size_t rows, std::uint64_t checksum) {
-        const std::size_t segs = (rows + rows_per_seg - 1) / rows_per_seg;
-        dir.push_back(SegDirEntry{tag, elems, static_cast<std::uint32_t>(segs),
-                                  checksum});
-        trim();
+      const std::vector<std::uint64_t> sums = DirectoryChecksums(space, stage);
+      trim();
+      const auto entry = [&](const auto& column) {
+        const std::size_t segs =
+            (column.rows() + rows_per_seg - 1) / rows_per_seg;
+        dir.push_back(SegDirEntry{kColumnTags[dir.size()], column.size(),
+                                  static_cast<std::uint32_t>(segs),
+                                  sums[dir.size()]});
       };
-      entry("links", space.links_.size(), space.links_.rows(),
-            LinksChecksum(space));
-      entry("canonh", space.canon_hash_.size(), space.canon_hash_.rows(),
-            U64ColumnChecksum(space.canon_hash_));
-      entry("canoni", space.canon_id_.size(), space.canon_id_.rows(),
-            U32ColumnChecksum(space.canon_id_));
-      entry("proj", space.proj_class_.size(), space.proj_class_.rows(),
-            U32ColumnChecksum(space.proj_class_));
-      entry("succo", space.succ_offsets_.size(), space.succ_offsets_.rows(),
-            U32ColumnChecksum(space.succ_offsets_));
-      entry("succc", space.succ_class_.size(), space.succ_class_.rows(),
-            U32ColumnChecksum(space.succ_class_));
-      entry("succe", space.succ_event_.size(), space.succ_event_.rows(),
-            U32ColumnChecksum(space.succ_event_));
+      entry(space.links_);
+      entry(space.canon_hash_);
+      entry(space.canon_id_);
+      entry(space.proj_class_);
+      entry(space.succ_offsets_);
+      entry(space.succ_class_);
+      entry(space.succ_event_);
       info.segment_columns = dir.size();
       for (const SegDirEntry& e : dir) info.segments += e.segments;
     }
     WriteHeader(w, info, dir);
 
+    unsigned char* const chunk = stage.data();
+    // The links and canonical-index columns are sized by the header's class
+    // count; every other column carries its own element count.
+    const auto write_column = [&](const auto& column, bool counted) {
+      if (counted) w.U64(column.size());
+      ColumnSlicer slicer(column, store);
+      while (const std::size_t n = slicer(chunk, kChunkBytes))
+        w.Bytes(chunk, n);
+      trim();
+    };
+    const auto write_vector = [&](const std::vector<std::uint32_t>& column) {
+      w.U64(column.size());
+      for (std::size_t i = 0; i < column.size(); i += kChunkBytes / 4) {
+        const std::size_t n = std::min(column.size() - i, kChunkBytes / 4);
+        EncodeSlice(column.data() + i, n, chunk);
+        w.Bytes(chunk, n * 4);
+      }
+    };
     for (const Event& e : space.event_pool_) WriteEvent(w, e);
-    for (std::size_t i = 0; i < space.links_.size(); ++i) {
-      const ComputationSpace::ClassLink link = space.links_[i];
-      w.U32(link.parent);
-      w.U32(link.event);
-      w.U16(link.pos);
-      w.U16(link.length);
-    }
-    trim();
-    for (std::size_t i = 0; i < space.canon_hash_.size(); ++i)
-      w.U64(space.canon_hash_[i]);
-    trim();
-    for (std::size_t i = 0; i < space.canon_id_.size(); ++i)
-      w.U32(space.canon_id_[i]);
-    trim();
-    w.U32SegColumn(space.proj_class_);
-    trim();
+    write_column(space.links_, false);
+    write_column(space.canon_hash_, false);
+    write_column(space.canon_id_, false);
+    write_column(space.proj_class_, true);
     for (int p = 0; p < space.num_processes_; ++p) {
-      w.U32Column(space.bucket_offsets_[static_cast<std::size_t>(p)]);
-      w.U32Column(space.bucket_ids_[static_cast<std::size_t>(p)]);
+      write_vector(space.bucket_offsets_[static_cast<std::size_t>(p)]);
+      write_vector(space.bucket_ids_[static_cast<std::size_t>(p)]);
     }
-    w.U32SegColumn(space.succ_offsets_);
-    trim();
-    w.U32SegColumn(space.succ_class_);
-    trim();
-    w.U32SegColumn(space.succ_event_);
-    trim();
+    write_column(space.succ_offsets_, true);
+    write_column(space.succ_class_, true);
+    write_column(space.succ_event_, true);
     for (const auto* g : groups) {
       w.U64(g->mask_);
-      w.U32Column(g->cls_);
-      w.U32Column(g->offsets_);
-      w.U32Column(g->ids_);
+      write_vector(g->cls_);
+      write_vector(g->offsets_);
+      write_vector(g->ids_);
     }
     w.Checksum();
     if (!w.ok())
@@ -627,7 +723,8 @@ struct SpaceSnapshotIO {
     std::vector<SegDirEntry> dir;
     const SpaceSnapshotInfo info = ReadHeader(r, &dir);
     if (info_out != nullptr) *info_out = info;
-    if (info.version >= 3 && dir.size() != 7)
+    const bool has_dir = info.version >= 3;
+    if (has_dir && dir.size() != std::size(kColumnTags))
       throw ModelError(
           "LoadSpaceSnapshot: bad segment directory (expected 7 columns, "
           "found " +
@@ -642,91 +739,105 @@ struct SpaceSnapshotIO {
     // segment_shift is informational.  v1/v2 files carry no directory and
     // skip the per-column checks below.
     space.InitColumns(segments);
-    internal::SegmentedSpaceStore& store = *space.store_;
+    SegmentedSpaceStore& store = *space.store_;
     const auto trim = [&store] {
       if (store.out_of_core()) store.EnforceBudget();
     };
-    const auto check_column = [&](std::size_t idx, const char* tag,
-                                  std::uint64_t elems, std::uint64_t checksum) {
-      if (info.version < 3) return;
-      const SegDirEntry& e = dir[idx];
-      if (e.tag != tag)
-        throw ModelError("LoadSpaceSnapshot: segment directory expects column "
-                         "'" +
-                         std::string(tag) + "' at slot " + std::to_string(idx) +
-                         ", found '" + e.tag + "'");
-      if (e.elems != elems)
-        throw ModelError("LoadSpaceSnapshot: column '" + std::string(tag) +
-                         "' element count mismatch (directory says " +
-                         std::to_string(e.elems) + ", payload has " +
-                         std::to_string(elems) + ")");
-      if (e.checksum != checksum)
-        throw ModelError("LoadSpaceSnapshot: column '" + std::string(tag) +
-                         "' checksum mismatch (corrupt snapshot)");
+
+    // Reads directory column `slot` (`elems` elements) into `column`.
+    // `out_of_range(row, index)` names the field of a decoded row that is
+    // out of range, or returns null; whole chunks are appended, the
+    // residency budget is enforced whenever a segment seals, and a v3
+    // directory's count and checksum are checked.  Every failure names the
+    // column.
+    const auto read_column = [&](std::size_t slot, auto& column,
+                                 std::uint64_t elems, auto&& out_of_range) {
+      using Row = std::remove_cvref_t<decltype(column[0])>;
+      const std::string tag = kColumnTags[slot];
+      const std::string where = "column '" + tag + "'";
+      if (has_dir) {
+        const SegDirEntry& e = dir[slot];
+        if (e.tag != tag)
+          throw ModelError("LoadSpaceSnapshot: segment directory expects " +
+                           where + " at slot " + std::to_string(slot) +
+                           ", found '" + e.tag + "'");
+        if (e.elems != elems)
+          throw ModelError("LoadSpaceSnapshot: " + where +
+                           " element count mismatch (directory says " +
+                           std::to_string(e.elems) + ", payload has " +
+                           std::to_string(elems) + ")");
+      }
+      const std::uint64_t sum = ReadRows<Row>(
+          r, elems, where.c_str(),
+          [&](const Row* rows, std::size_t count, std::uint64_t first) {
+            for (std::size_t i = 0; i < count; ++i)
+              if (const char* field = out_of_range(rows[i], first + i))
+                throw ModelError("LoadSpaceSnapshot: " + where + " row " +
+                                 std::to_string(first + i) +
+                                 " has an out-of-range " + field);
+            const std::size_t sealed = column.num_segments();
+            column.Append(rows, count);
+            if (column.num_segments() != sealed) trim();
+          });
+      if (has_dir && dir[slot].checksum != sum)
+        throw ModelError("LoadSpaceSnapshot: " + where +
+                         " checksum mismatch (corrupt snapshot)");
+      trim();
+    };
+    const auto unchecked = [](const auto&, std::uint64_t) -> const char* {
+      return nullptr;
+    };
+    const std::uint64_t classes = info.classes;
+    // Resident u32 columns (buckets, group tables) hold at most one entry
+    // per class plus a CSR end, which bounds the reservation.
+    const auto read_vector = [&](const char* where) {
+      const std::uint64_t n = r.Count(where);
+      if (n > classes + 1)
+        throw ModelError(std::string("LoadSpaceSnapshot: ") + where +
+                         " count " + std::to_string(n) +
+                         " exceeds the class count; corrupt file?");
+      std::vector<std::uint32_t> column;
+      column.reserve(static_cast<std::size_t>(n));
+      ReadRows<std::uint32_t>(
+          r, n, where,
+          [&column](const std::uint32_t* rows, std::size_t count,
+                    std::uint64_t) {
+            column.insert(column.end(), rows, rows + count);
+          });
+      return column;
     };
 
-    const std::size_t classes = info.classes;
-    space.event_pool_.reserve(info.pool_events);
+    space.event_pool_.reserve(
+        static_cast<std::size_t>(std::min<std::uint64_t>(info.pool_events,
+                                                         kChunkBytes)));
     for (std::uint64_t i = 0; i < info.pool_events; ++i)
       space.event_pool_.push_back(ReadEvent(r));
+    const std::size_t pool = space.event_pool_.size();
 
-    std::uint64_t fold = kFnvOffset;
-    for (std::size_t i = 0; i < classes; ++i) {
-      ComputationSpace::ClassLink link;
-      link.parent = r.U32("link parent");
-      link.event = r.U32("link event");
-      link.pos = r.U16("link pos");
-      link.length = r.U16("link length");
-      if (i > 0 && (link.parent >= i ||
-                    link.event >= space.event_pool_.size()))
-        throw ModelError("LoadSpaceSnapshot: class " + std::to_string(i) +
-                         " references out-of-range parent or event");
-      fold = FoldU32(fold, link.parent);
-      fold = FoldU32(fold, link.event);
-      fold = FoldU16(fold, link.pos);
-      fold = FoldU16(fold, link.length);
-      space.links_.push_back(link);
-      if ((i & 0xfff) == 0xfff) trim();
-    }
-    check_column(0, "links", classes, fold);
-    trim();
-
-    fold = kFnvOffset;
-    for (std::size_t i = 0; i < classes; ++i) {
-      const std::uint64_t h = r.U64("canon hash");
-      fold = FoldU64(fold, h);
-      space.canon_hash_.push_back(static_cast<std::size_t>(h));
-      if ((i & 0xfff) == 0xfff) trim();
-    }
-    check_column(1, "canonh", classes, fold);
-    trim();
-    fold = kFnvOffset;
-    for (std::size_t i = 0; i < classes; ++i) {
-      const std::uint32_t id = r.U32("canon id");
-      if (id >= classes)
-        throw ModelError("LoadSpaceSnapshot: canonical index id out of range");
-      fold = FoldU32(fold, id);
-      space.canon_id_.push_back(id);
-      if ((i & 0xfff) == 0xfff) trim();
-    }
-    check_column(2, "canoni", classes, fold);
-    trim();
-
+    read_column(0, space.links_, classes,
+                [pool](const ClassLink& link, std::uint64_t i) -> const char* {
+                  if (i > 0 && link.parent >= i) return "parent";
+                  if (i > 0 && link.event >= pool) return "event";
+                  return nullptr;
+                });
+    read_column(1, space.canon_hash_, classes, unchecked);
+    read_column(2, space.canon_id_, classes,
+                [classes](std::uint32_t id, std::uint64_t) -> const char* {
+                  return id < classes ? nullptr : "class id";
+                });
     const std::uint64_t proj_elems = r.Count("projection classes");
     if (proj_elems !=
         classes * static_cast<std::uint64_t>(info.num_processes))
       throw ModelError("LoadSpaceSnapshot: projection column size mismatch");
-    check_column(3, "proj", proj_elems,
-                 ReadU32SegColumn(r, space.proj_class_, proj_elems,
-                                  "projection classes", &store));
+    read_column(3, space.proj_class_, proj_elems, unchecked);
 
     space.bucket_offsets_.resize(static_cast<std::size_t>(info.num_processes));
     space.bucket_ids_.resize(static_cast<std::size_t>(info.num_processes));
     for (int p = 0; p < info.num_processes; ++p) {
       auto& offsets = space.bucket_offsets_[static_cast<std::size_t>(p)];
       auto& ids = space.bucket_ids_[static_cast<std::size_t>(p)];
-      offsets = r.U32Column("bucket offsets");
-      ids = r.U32Column("bucket ids");
+      offsets = read_vector("bucket offsets");
+      ids = read_vector("bucket ids");
       if (offsets.empty() || offsets.back() != ids.size() ||
           ids.size() != classes)
         throw ModelError(
@@ -734,24 +845,15 @@ struct SpaceSnapshotIO {
             std::to_string(p));
     }
 
-    const std::uint64_t succo_elems = r.Count("successor offsets");
-    check_column(4, "succo", succo_elems,
-                 ReadU32SegColumn(r, space.succ_offsets_, succo_elems,
-                                  "successor offsets", &store));
-    const std::uint64_t succc_elems = r.Count("successor classes");
-    check_column(5, "succc", succc_elems,
-                 ReadU32SegColumn(r, space.succ_class_, succc_elems,
-                                  "successor classes", &store));
-    const std::uint64_t succe_elems = r.Count("successor events");
-    check_column(6, "succe", succe_elems,
-                 ReadU32SegColumn(r, space.succ_event_, succe_elems,
-                                  "successor events", &store));
+    read_column(4, space.succ_offsets_, r.Count("successor offsets"),
+                unchecked);
+    read_column(5, space.succ_class_, r.Count("successor classes"), unchecked);
+    read_column(6, space.succ_event_, r.Count("successor events"), unchecked);
     if (space.succ_offsets_.size() != classes + (classes ? 1 : 0) ||
         (classes && space.succ_offsets_.back() != space.succ_class_.size()) ||
         space.succ_class_.size() != space.succ_event_.size())
       throw ModelError("LoadSpaceSnapshot: successor CSR columns "
                        "inconsistent");
-    trim();
 
     std::uint64_t last_mask = 0;
     for (std::uint64_t i = 0; i < info.group_indexes; ++i) {
@@ -760,9 +862,9 @@ struct SpaceSnapshotIO {
       if (i > 0 && index->mask_ <= last_mask)
         throw ModelError("LoadSpaceSnapshot: group indexes out of order");
       last_mask = index->mask_;
-      index->cls_ = r.U32Column("group classes");
-      index->offsets_ = r.U32Column("group offsets");
-      index->ids_ = r.U32Column("group ids");
+      index->cls_ = read_vector("group classes");
+      index->offsets_ = read_vector("group offsets");
+      index->ids_ = read_vector("group ids");
       if (index->cls_.size() != classes || index->offsets_.empty() ||
           index->offsets_.back() != index->ids_.size() ||
           index->ids_.size() != classes)

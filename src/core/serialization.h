@@ -11,7 +11,7 @@
 //    the result as a system computation — incrementally, so errors name the
 //    offending token (1-based index and text); Format is its inverse.
 //
-// 2. Binary space snapshots (format `hpl-space-v2`): versioned,
+// 2. Binary space snapshots (format `hpl-space-v3`): versioned,
 //    little-endian save/load of the full columnar ComputationSpace — the
 //    interned event pool, splice links, canonical-hash index, per-process
 //    [p]-class tables, CSR successors and buckets, and every materialized
@@ -42,13 +42,20 @@
 //    its payload.  v1/v2 files carry no directory and load the same way,
 //    minus the per-column checksum attribution.
 //
+//    Column payloads move one bounded chunk (at most 64 KiB) at a time: a
+//    load reads each chunk with one stream read, folds the file and
+//    column checksums over it in the same loop, decodes and range-checks
+//    its rows and appends them as a block; a save encodes chunk by chunk
+//    from pinned segments.  Neither ever buffers a whole column.
+//
 //    Layout: an 8-byte magic ("HPLSPACE"), a u32 format version, a header
-//    (process count, flags, system name, and in v2 the frontier fields),
-//    the columns in a fixed order, and a trailing FNV-1a checksum of
-//    everything before it.  All integers are explicit little-endian, so
-//    snapshots are portable across hosts.  Load rejects bad magic, unknown
-//    versions, truncated files, inconsistent column sizes, and checksum
-//    mismatches with a ModelError naming the problem.
+//    (process count, flags, system name, from v2 the frontier fields, and
+//    from v3 the segment directory), the columns in a fixed order, and a
+//    trailing FNV-1a checksum of everything before it.  All integers are
+//    explicit little-endian, so snapshots are portable across hosts.  Load
+//    rejects bad magic, unknown versions, truncated files, inconsistent
+//    column sizes, out-of-range rows and checksum mismatches with a
+//    ModelError naming the problem and, inside the payload, the column.
 #ifndef HPL_CORE_SERIALIZATION_H_
 #define HPL_CORE_SERIALIZATION_H_
 
@@ -70,7 +77,7 @@ std::string FormatComputation(const Computation& x);
 // index and text of the offending token.
 Computation ParseComputation(const std::string& text);
 
-// --- Binary space snapshots (hpl-space-v2) ---------------------------------
+// --- Binary space snapshots (hpl-space-v3) ---------------------------------
 
 // The snapshot format version this build writes by default.  Reads accept
 // kMinSpaceSnapshotVersion through kSpaceSnapshotVersion.

@@ -164,6 +164,33 @@ ComputationSpace ComputationSpace::Enumerate(const System& system,
   return std::move(builder).Take();
 }
 
+ComputationSpace& ComputationSpace::operator=(
+    ComputationSpace&& other) noexcept {
+  if (this == &other) return *this;
+  // Columns first: each releases its old segments into the old store_,
+  // which is still alive, and takes over other's, which point into
+  // other.store_ — the store moved in below.
+  links_ = std::move(other.links_);
+  canon_hash_ = std::move(other.canon_hash_);
+  canon_id_ = std::move(other.canon_id_);
+  proj_class_ = std::move(other.proj_class_);
+  succ_offsets_ = std::move(other.succ_offsets_);
+  succ_class_ = std::move(other.succ_class_);
+  succ_event_ = std::move(other.succ_event_);
+  store_ = std::move(other.store_);
+  num_processes_ = other.num_processes_;
+  truncated_ = other.truncated_;
+  canonicalize_ = other.canonicalize_;
+  built_depth_ = other.built_depth_;
+  system_name_ = std::move(other.system_name_);
+  event_pool_ = std::move(other.event_pool_);
+  bucket_offsets_ = std::move(other.bucket_offsets_);
+  bucket_ids_ = std::move(other.bucket_ids_);
+  group_mutex_ = std::move(other.group_mutex_);
+  group_index_ = std::move(other.group_index_);
+  return *this;
+}
+
 void ComputationSpace::InitColumns(const SegmentOptions& options) {
   if (options.segment_shift < 2 || options.segment_shift > 26)
     throw ModelError(
@@ -988,13 +1015,17 @@ void SpaceBuilder::AdoptSpace(std::unique_ptr<ComputationSpace> space,
 
   // Replay the projection-extension maps from the links in id order: the
   // stored rows force every map value, and the mint counters resume at the
-  // stored class counts.  Sequential id-order reads — segments fault in
-  // one at a time and can spill again at the next trim.
+  // stored class counts.  Every minted class past 0 is one map entry, so
+  // the counts size the maps up front and the replay never rehashes.
+  // Sequential id-order reads — segments fault in one at a time and can
+  // spill again at the next trim.
   st.proj_extend.resize(P);
   st.proj_count.assign(P, 1);
-  for (std::size_t p = 0; p < P; ++p)
+  for (std::size_t p = 0; p < P; ++p) {
     st.proj_count[p] = static_cast<std::uint32_t>(
         sp.NumProjectionClasses(static_cast<ProcessId>(p)));
+    st.proj_extend[p].reserve(st.proj_count[p]);
+  }
   for (std::size_t id = 1; id < n; ++id) {
     const ComputationSpace::ClassLink link = sp.links_[id];
     const auto ep =

@@ -147,6 +147,12 @@ struct EnumerationLimits {
 
 class ComputationSpace {
  public:
+  ComputationSpace(ComputationSpace&&) noexcept = default;
+  // The segmented columns hold raw pointers into store_, so a move
+  // assignment must let each column drop its segments against the store
+  // it was built on before that store is replaced.
+  ComputationSpace& operator=(ComputationSpace&& other) noexcept;
+
   // Exhaustively enumerates the system's computations.  A thin wrapper over
   // SpaceBuilder (Build + Take): the result is sealed — keep the builder
   // instead when the space should be deepened or ingested into later.

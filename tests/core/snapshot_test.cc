@@ -1,6 +1,7 @@
-// Binary space snapshots (hpl-space-v2): round-trip invariants.
-// (Builder snapshots — frontier round-trip, v1 back-compat, legacy byte
-// layout — are covered in space_builder_test.cc.)
+// Binary space snapshots (hpl-space-v3): round-trip invariants, golden
+// bytes that pin the wire format, and a hostile-file sweep.  (Builder
+// snapshots — frontier round-trip, v1 back-compat, legacy byte layout —
+// are covered in space_builder_test.cc.)
 //
 // The contract under test is byte-identity — a loaded space must be
 // indistinguishable from the freshly enumerated one: same class ids,
@@ -9,7 +10,10 @@
 // verdicts evaluated against it must match exactly, on both engines and
 // at 1 and 4 threads.  Corrupt, truncated, or foreign files must be rejected
 // with ModelError, never crash or silently load.
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +235,180 @@ TEST(SnapshotTest, RejectsCorruptInput) {
     EXPECT_THROW(LoadBytes(bad), ModelError);
   }
   EXPECT_THROW(LoadSpaceSnapshot("/nonexistent/path.snap"), ModelError);
+}
+
+// FNV-1a 64 of a byte string: the digest the golden-format pins compare.
+std::uint64_t Digest(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+RandomSystem GoldenSystem() {
+  RandomSystemOptions options;
+  options.num_processes = 4;
+  options.num_messages = 5;
+  options.seed = 9;
+  return RandomSystem(options);
+}
+
+// Golden bytes: the snapshot writer's output is pinned by size and digest,
+// so a change to the column encoders (chunking, checksum folding) cannot
+// silently change the on-disk format.  Every pinned file must also load and
+// save back to exactly its own bytes.
+TEST(SnapshotTest, GoldenResidentV3Bytes) {
+  const RandomSystem system = GoldenSystem();
+  EnumerationLimits limits;
+  limits.num_threads = 1;
+  const auto space = ComputationSpace::Enumerate(system, limits);
+  space.EnsureGroupIndex(ProcessSet::Of(0).Union(ProcessSet::Of(1)));
+  const std::string bytes = SnapshotBytes(space);
+  EXPECT_EQ(bytes.size(), 749065u);
+  EXPECT_EQ(Digest(bytes), 354972542137370632ull);
+  EXPECT_EQ(SnapshotBytes(LoadBytes(bytes)), bytes);
+}
+
+TEST(SnapshotTest, GoldenBudgetBuiltV3Bytes) {
+  const RandomSystem system = GoldenSystem();
+  EnumerationLimits limits;
+  limits.num_threads = 1;
+  limits.segments.segment_shift = 12;
+  limits.segments.residency_budget_bytes = 64 * 1024;
+  const auto space = ComputationSpace::Enumerate(system, limits);
+  ASSERT_GT(space.SegmentStats().spill_writes, 0u);
+  const std::string bytes = SnapshotBytes(space);
+  EXPECT_EQ(bytes.size(), 682989u);
+  EXPECT_EQ(Digest(bytes), 971934943057732049ull);
+  // A budgeted load streams the columns back under the same budget and
+  // must save the same bytes.
+  std::istringstream in(bytes);
+  const auto loaded = LoadSpaceSnapshot(in, limits.segments);
+  EXPECT_EQ(SnapshotBytes(loaded), bytes);
+  EXPECT_EQ(SnapshotBytes(LoadBytes(bytes)), bytes);
+}
+
+TEST(SnapshotTest, GoldenCappedBuilderBytes) {
+  const RandomSystem system = GoldenSystem();
+  EnumerationLimits limits;
+  limits.num_threads = 1;
+  limits.max_depth = 6;
+  limits.allow_truncation = true;
+  SpaceBuilder builder;
+  builder.Build(system, limits);
+  ASSERT_TRUE(builder.CanDeepen());
+  std::ostringstream out;
+  SaveSpaceBuilderSnapshot(builder, out);
+  const std::string bytes = out.str();
+  EXPECT_EQ(bytes.size(), 42405u);
+  EXPECT_EQ(Digest(bytes), 17827610270453642104ull);
+  std::istringstream in(bytes);
+  const SpaceBuilder loaded = LoadSpaceBuilderSnapshot(system, in, limits);
+  std::ostringstream again;
+  SaveSpaceBuilderSnapshot(loaded, again);
+  EXPECT_EQ(again.str(), bytes);
+}
+
+TEST(SnapshotTest, GoldenV1AndV2Bytes) {
+  const RandomSystem system = GoldenSystem();
+  EnumerationLimits limits;
+  limits.num_threads = 1;
+  const auto space = ComputationSpace::Enumerate(system, limits);
+  space.EnsureGroupIndex(ProcessSet::Of(0).Union(ProcessSet::Of(1)));
+  const std::uint64_t want_size[] = {748840u, 748853u};
+  const std::uint64_t want_digest[] = {13482284122564737625ull,
+                                       2686834781305657538ull};
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::ostringstream out;
+    SaveSpaceSnapshot(space, out, version);
+    const std::string bytes = out.str();
+    EXPECT_EQ(bytes.size(), want_size[version - 1]) << version;
+    EXPECT_EQ(Digest(bytes), want_digest[version - 1]) << version;
+    std::ostringstream again;
+    SaveSpaceSnapshot(LoadBytes(bytes), again, version);
+    EXPECT_EQ(again.str(), bytes) << version;
+  }
+}
+
+// The byte range of each segment-directory column's payload in a v3
+// snapshot of `space`, located from the end of the file (the event pool
+// before the columns has variable-length labels; everything after it is
+// fixed-width).
+std::map<std::string, std::pair<std::size_t, std::size_t>> ColumnRanges(
+    const ComputationSpace& space, std::size_t file_size) {
+  const std::size_t n = space.size();
+  const auto P = static_cast<std::size_t>(space.num_processes());
+  std::size_t edges = 0;
+  for (std::size_t id = 0; id < n; ++id) edges += space.SuccessorsOf(id).size();
+  std::size_t end = file_size - 8;  // trailing checksum; no group indexes
+  std::map<std::string, std::pair<std::size_t, std::size_t>> ranges;
+  const auto take = [&](const char* tag, std::size_t payload,
+                        std::size_t prefix) {
+    end -= payload;
+    if (tag != nullptr) ranges[tag] = {end, payload};
+    end -= prefix;
+  };
+  take("succe", 4 * edges, 8);
+  take("succc", 4 * edges, 8);
+  take("succo", 4 * (n + 1), 8);
+  for (std::size_t p = P; p-- > 0;) {
+    take(nullptr, 4 * n, 8);  // bucket ids
+    take(nullptr,
+         4 * (space.NumProjectionClasses(static_cast<ProcessId>(p)) + 1),
+         8);  // bucket offsets
+  }
+  take("proj", 4 * n * P, 8);
+  take("canoni", 4 * n, 0);
+  take("canonh", 8 * n, 0);
+  take("links", 12 * n, 0);
+  return ranges;
+}
+
+// Hostile files: a snapshot cut at every byte offset, and one with a byte
+// flipped inside each directory column, must each be refused with a
+// ModelError that names the file region or the column — never a crash,
+// never a silent load.
+TEST(SnapshotTest, HostileTruncationAndColumnFlipSweep) {
+  protocols::TrackerSystem system(/*flips=*/4);
+  EnumerationLimits limits;
+  limits.num_threads = 1;
+  const auto space = ComputationSpace::Enumerate(system, limits);
+  const std::string bytes = SnapshotBytes(space);
+  ASSERT_NO_THROW(LoadBytes(bytes));
+
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    try {
+      LoadBytes(bytes.substr(0, keep));
+      ADD_FAILURE() << "truncation at " << keep << " loaded";
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated snapshot ("),
+                std::string::npos)
+          << keep << ": " << e.what();
+    }
+  }
+
+  const auto ranges = ColumnRanges(space, bytes.size());
+  ASSERT_EQ(ranges.size(), 7u);
+  for (const auto& [tag, range] : ranges) {
+    ASSERT_GT(range.second, 0u) << tag;
+    for (const std::size_t at :
+         {range.first, range.first + range.second / 2,
+          range.first + range.second - 1}) {
+      std::string bad = bytes;
+      bad[at] = static_cast<char>(bad[at] ^ 0x5a);
+      try {
+        LoadBytes(bad);
+        ADD_FAILURE() << "flip in column '" << tag << "' at " << at
+                      << " loaded";
+      } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("column '" + tag + "'"),
+                  std::string::npos)
+            << at << ": " << e.what();
+      }
+    }
+  }
 }
 
 // The tentpole invariant: knowledge verdicts on a loaded space are
